@@ -10,7 +10,6 @@ from .blocks import (
     BlockLawReport,
     PrefixBlock,
     ScanReport,
-    active_backend,
     exhaustive_scan,
     prefix_blocks,
     verify_block_laws,

@@ -14,17 +14,13 @@ these blocks to constancy:
 
 This module provides the block decomposition, a per-sequence check of
 both laws, and an exhaustive scan over all sequences of a given length
-and alphabet.  The scan has two interchangeable backends — a vectorised
-reference scanner and an optional compiled scanner — selected
-automatically unless forced via the ``backend`` argument or the
-``CHAMELEON_PURE`` environment variable.
+and alphabet.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import BadLength
 
@@ -35,7 +31,6 @@ __all__ = [
     "prefix_blocks",
     "verify_block_laws",
     "exhaustive_scan",
-    "active_backend",
 ]
 
 
@@ -149,50 +144,69 @@ class ScanReport:
     checked: int
     nonconstant: int
     violations: Tuple[Tuple[int, ...], ...]
-    backend: str
 
 
-ScanFunc = Callable[[int, int], Tuple[int, int, List[Tuple[int, ...]]]]
+_CHUNK = 1 << 20
 
 
-def _load_compiled() -> Optional[ScanFunc]:
-    if os.environ.get("CHAMELEON_PURE") == "1":
-        return None
-    try:
-        from . import _blocks_fast  # type: ignore[attr-defined]
-    except ImportError:
-        return None
-    return _blocks_fast.scan
+def _scan(length: int, base: int) -> Tuple[int, int, List[Tuple[int, ...]]]:
+    """Tally both block laws over all ``base**length`` digit sequences.
+
+    Each sequence is identified with the integer whose base-``base``
+    digits, least significant first, are its entries, so every law is
+    plain integer arithmetic on whole arrays of codes at once:
+
+    * a sequence is constant exactly when its code is a multiple of the
+      repunit ``(base**length - 1) // (base - 1)``;
+    * all ``2**bits`` blocks at one width are equal exactly when the code
+      is ``b * T`` for a single block code ``b < base**size``, where ``T``
+      is the block-tiling repunit ``(base**length - 1) // (base**size - 1)``;
+    * the two leading blocks agree exactly when the code is congruent to
+      its quotient by ``base**size`` modulo ``base**size``.
+
+    No digit arrays are materialised; codes are processed in fixed-size
+    chunks of one flat int64 array.  ``length`` is a power of two of at
+    least 2 and ``base`` is positive.  Returns ``(checked, nonconstant,
+    violations)`` where violations are digit tuples (least significant
+    position first) on which a law disagreed with constancy.
+    """
+    import numpy as np  # here, not at module top, so `import chameleon` does not load numpy
+
+    if base == 1:
+        return 1, 0, []
+    total = base**length
+    if total > 1 << 40:
+        raise ValueError(f"scan of {total} sequences is too large")
+    depth = length.bit_length() - 1
+    repunit = (total - 1) // (base - 1)
+    checked = 0
+    nonconstant = 0
+    violations: List[Tuple[int, ...]] = []
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        constant = codes % repunit == 0
+        universal = np.ones(codes.shape, dtype=bool)
+        chained = np.ones(codes.shape, dtype=bool)
+        for bits in range(1, depth + 1):
+            size = length >> bits
+            modulus = base**size
+            tiling = (total - 1) // (modulus - 1)
+            universal &= (codes % tiling == 0) & (codes // tiling < modulus)
+            chained &= (codes // modulus) % modulus == codes % modulus
+        bad = (universal != constant) | (chained != constant)
+        checked += int(codes.size)
+        nonconstant += int(codes.size) - int(np.count_nonzero(constant))
+        for code in codes[bad]:
+            value = int(code)
+            digits = []
+            for _ in range(length):
+                digits.append(value % base)
+                value //= base
+            violations.append(tuple(digits))
+    return checked, nonconstant, violations
 
 
-def _resolve_backend(backend: Optional[str]) -> Tuple[ScanFunc, str]:
-    from . import _blocks_ref
-
-    if backend is None:
-        fast = _load_compiled()
-        if fast is not None:
-            return fast, "compiled"
-        return _blocks_ref.scan, "reference"
-    if backend == "reference":
-        return _blocks_ref.scan, "reference"
-    if backend == "compiled":
-        fast = _load_compiled()
-        if fast is None:
-            raise ValueError("compiled scanner is unavailable")
-        return fast, "compiled"
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def active_backend() -> str:
-    """Name of the scan backend that a default dispatch would use."""
-    return "compiled" if _load_compiled() is not None else "reference"
-
-
-def exhaustive_scan(
-    length: int,
-    alphabet: Sequence[int] = (-1, 0, 1),
-    backend: Optional[str] = None,
-) -> ScanReport:
+def exhaustive_scan(length: int, alphabet: Sequence[int] = (-1, 0, 1)) -> ScanReport:
     """Verify both block laws on every sequence of ``length`` symbols.
 
     Enumerates all ``len(alphabet) ** length`` sequences over the given
@@ -205,10 +219,18 @@ def exhaustive_scan(
     if not symbols or len(set(symbols)) != len(symbols):
         raise ValueError("alphabet symbols must be nonempty and distinct")
     depth = _log2_length(length)
-    func, name = _resolve_backend(backend)
     if depth == 0:
         # Single-entry sequences are constant and admit no comparisons.
-        return ScanReport(length, symbols, len(symbols), 0, (), name)
-    checked, nonconstant, raw = func(length, len(symbols))
+        return ScanReport(length, symbols, len(symbols), 0, ())
+    checked, nonconstant, raw = _scan(length, len(symbols))
     violations = tuple(tuple(symbols[d] for d in digits) for digits in raw)
-    return ScanReport(length, symbols, checked, nonconstant, violations, name)
+    return ScanReport(length, symbols, checked, nonconstant, violations)
+
+
+def active_backend() -> str:
+    """Name of the block-law scanner, for environment records.
+
+    ``exhaustive_scan`` has one scanner, the vectorised integer-code scan,
+    so this is always ``"reference"``.
+    """
+    return "reference"

@@ -25,6 +25,7 @@ from .errors import (
     NotMarkov,
     NotPL,
     OddCount,
+    ParseError,
     ReconstructionMismatch,
 )
 from .exact import as_fraction, is_nadic, is_smooth, to_nadic
@@ -39,14 +40,18 @@ DEFAULT_MEMO_DEPTH = 16
 
 
 def default_memo_depth() -> int:
-    """Table depth budget: CHAMELEON_MAX_DEPTH when set, else 16."""
+    """Table depth budget: CHAMELEON_MAX_DEPTH when set, else 16.
+
+    Raises ``ParseError`` when the variable is not a non-negative integer.
+    """
     raw = os.environ.get("CHAMELEON_MAX_DEPTH")
     if raw is None:
         return DEFAULT_MEMO_DEPTH
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MEMO_DEPTH
+    if not raw.strip().isdecimal():
+        raise ParseError(
+            f"CHAMELEON_MAX_DEPTH must be a non-negative integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 @dataclass(frozen=True)

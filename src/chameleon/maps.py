@@ -513,9 +513,6 @@ class PLLineMap:
         return f"PLLineMap(breaks=[{bs}], {len(self.pieces)} pieces{flag})"
 
 
-PLMap = "PLCircleMap | PLLineMap"
-
-
 def multiplication_map(n: int, circumference: int | None = None) -> PLCircleMap:
     """The degree-n circle map x -> n*x on the circle of circumference n-1
     (or any given circumference)."""
@@ -552,11 +549,7 @@ def break_value(m, x, n: int | None = None) -> int:
 
 def sum_of_breaks(m, n: int | None = None) -> int:
     """Sum of break values over all breakpoints of the map."""
-    if isinstance(m, PLCircleMap):
-        points = m.breakpoints
-    else:
-        points = m.breakpoints
-    return sum(break_value(m, x, n) for x in points)
+    return sum(break_value(m, x, n) for x in m.breakpoints)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Prefix-block laws: decomposition, per-sequence checks, exhaustive scans,
-and backend selection."""
+"""Prefix-block laws: decomposition, per-sequence checks and exhaustive scans."""
 
 from __future__ import annotations
 
@@ -7,13 +6,13 @@ import itertools
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chameleon.blocks import (
     BlockLawReport,
-    active_backend,
     exhaustive_scan,
     prefix_blocks,
     verify_block_laws,
@@ -116,29 +115,18 @@ class TestExhaustiveScan:
     @pytest.mark.parametrize("length", (2, 4, 8))
     @pytest.mark.parametrize("alphabet", ((0, 1), (-1, 0, 1), (0, 1, 2, 3)))
     def test_backends_agree(self, length, alphabet):
-        reference = exhaustive_scan(length, alphabet, backend="reference")
-        assert reference.checked == len(alphabet)**length
-        assert reference.nonconstant == reference.checked - len(alphabet)
-        assert reference.violations == ()
-        if active_backend() == "compiled":
-            compiled = exhaustive_scan(length, alphabet, backend="compiled")
-            assert compiled.checked == reference.checked
-            assert compiled.nonconstant == reference.nonconstant
-            assert compiled.violations == reference.violations
+        """Every sequence is checked, all but the constant ones are
+        nonconstant, and no law fails."""
+        report = exhaustive_scan(length, alphabet)
+        assert report.checked == len(alphabet)**length
+        assert report.nonconstant == report.checked - len(alphabet)
+        assert report.violations == ()
 
     def test_full_depth_five_shape_reference(self):
-        report = exhaustive_scan(16, (-1, 0, 1), backend="reference")
-        assert report.checked == 3**16
-        assert report.nonconstant == 3**16 - 3
-        assert report.violations == ()
-        assert report.backend == "reference"
-
-    def test_full_depth_five_shape_default(self):
         report = exhaustive_scan(16, (-1, 0, 1))
         assert report.checked == 3**16
         assert report.nonconstant == 3**16 - 3
         assert report.violations == ()
-        assert report.backend == active_backend()
 
     def test_single_entry_shape(self):
         report = exhaustive_scan(1, (-1, 0, 1))
@@ -156,13 +144,9 @@ class TestExhaustiveScan:
         with pytest.raises(BadLength):
             exhaustive_scan(6)
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            exhaustive_scan(4, (0, 1), backend="quantum")
-
     def test_tallies_match_brute_force(self):
         """Independently recount constants and violations for one shape."""
-        report = exhaustive_scan(4, (0, 1, 2), backend="reference")
+        report = exhaustive_scan(4, (0, 1, 2))
         seen = nonconstant = 0
         for seq in itertools.product((0, 1, 2), repeat=4):
             seen += 1
@@ -172,25 +156,19 @@ class TestExhaustiveScan:
         assert (seen, nonconstant) == (report.checked, report.nonconstant)
 
 
-class TestBackendSelection:
-    def test_compiled_backend_is_built(self):
-        assert active_backend() == "compiled"
-
-    def test_environment_forces_reference(self, monkeypatch):
-        monkeypatch.setenv("CHAMELEON_PURE", "1")
-        assert active_backend() == "reference"
-        report = exhaustive_scan(4, (0, 1))
-        assert report.backend == "reference"
-        with pytest.raises(ValueError):
-            exhaustive_scan(4, (0, 1), backend="compiled")
-
-    def test_environment_in_fresh_interpreter(self):
-        env = dict(os.environ, CHAMELEON_PURE="1")
+class TestLazyNumpy:
+    def test_package_import_leaves_numpy_unloaded(self):
+        """numpy loads only when a scan runs, so importing the package
+        stays cheap for callers that never scan."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c",
-             "from chameleon.blocks import active_backend, exhaustive_scan\n"
-             "r = exhaustive_scan(8, (-1, 0, 1))\n"
-             "print(active_backend(), r.backend, r.checked, len(r.violations))"],
+             "import sys\n"
+             "import chameleon\n"
+             "print('numpy' in sys.modules)\n"
+             "r = chameleon.exhaustive_scan(8, (-1, 0, 1))\n"
+             "print(r.checked, len(r.violations))"],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert out.stdout.split() == ["reference", "reference", "6561", "0"]
+        assert out.stdout.split() == ["False", "6561", "0"]

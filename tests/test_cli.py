@@ -157,6 +157,16 @@ class TestConjugatorEval:
         assert code == 2
         assert "refused: BudgetExceeded" in err
 
+    def test_malformed_environment_depth_is_an_input_error(self, capsys, partition_file,
+                                                           monkeypatch):
+        monkeypatch.setenv("CHAMELEON_MAX_DEPTH", "not a number")
+        code, out, err = run_cli(
+            capsys, "partition", "conjugator-eval", partition_file("2"),
+            "--point", "1/384")
+        assert code == 1
+        assert "error: CHAMELEON_MAX_DEPTH" in err
+        assert out == ""
+
     def test_depth_flag_overrides_the_environment(self, capsys, partition_file,
                                                   monkeypatch):
         monkeypatch.setenv("CHAMELEON_MAX_DEPTH", "2")

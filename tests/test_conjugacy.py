@@ -24,6 +24,7 @@ from chameleon.errors import (
     NotAVertex,
     NotPL,
     OddCount,
+    ParseError,
 )
 from chameleon.exact import is_nadic
 from chameleon.golden import example_ids, load_example
@@ -84,8 +85,10 @@ class TestEvaluate:
         partition, _, _ = examples["2"]
         monkeypatch.setenv("CHAMELEON_MAX_DEPTH", "3")
         assert Conjugator(partition).max_depth == 3
-        monkeypatch.setenv("CHAMELEON_MAX_DEPTH", "not a number")
-        assert Conjugator(partition).max_depth == 16
+        for malformed in ("not a number", "-3", ""):
+            monkeypatch.setenv("CHAMELEON_MAX_DEPTH", malformed)
+            with pytest.raises(ParseError):
+                Conjugator(partition)
         monkeypatch.delenv("CHAMELEON_MAX_DEPTH")
         assert Conjugator(partition).max_depth == 16
 
