@@ -128,6 +128,13 @@ class TestExhaustiveScan:
         assert report.nonconstant == 3**16 - 3
         assert report.violations == ()
 
+    def test_full_depth_five_shape_default(self):
+        report = exhaustive_scan(16)
+        assert report.alphabet == (-1, 0, 1)
+        assert report.checked == 3**16
+        assert report.nonconstant == 3**16 - 3
+        assert report.violations == ()
+
     def test_single_entry_shape(self):
         report = exhaustive_scan(1, (-1, 0, 1))
         assert report.checked == 3
