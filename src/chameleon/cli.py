@@ -272,6 +272,17 @@ def _handle_roundtrip(args) -> Tuple[RunReport, int]:
     return report, 0 if not failures else 2
 
 
+def _depth(text: str) -> int:
+    """argparse type for --depth: a non-negative integer."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid depth: {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"depth must be non-negative, got {depth}")
+    return depth
+
+
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors map to the input-error exit code."""
 
@@ -296,7 +307,7 @@ def _build_parser() -> _Parser:
     partition.add_argument("file", help='JSON file {"base": n, "lengths": [...]}')
     partition.add_argument(
         "--depth",
-        type=int,
+        type=_depth,
         default=None,
         help=(
             "depth budget: scan depth for dyadic-status (default 4), "

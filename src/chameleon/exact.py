@@ -14,8 +14,6 @@ from math import gcd
 
 from .errors import ParseError
 
-RationalLike = "int | Fraction | str | NAdic"
-
 
 def as_fraction(q) -> Fraction:
     """Coerce ints, strings like '5/16', NAdic values, and Fractions."""

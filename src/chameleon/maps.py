@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -78,14 +78,16 @@ class PLCircleMap:
     increasing tuple ``boundaries`` in [0, r), a matching tuple of positive
     ``slopes`` (slope i rules the arc from boundary i to the next boundary,
     counterclockwise), and the value at the first boundary, reduced to [0, r).
-    The lift over the window [b0, b0 + r) is continuous and rises by d*r.
+    The lift over the window [b0, b0 + r) is continuous and rises by d*r; its
+    value at each boundary is computed once here and kept privately.
 
     Construction normalises: boundaries whose two sides share a slope are
     merged, and a break-free map is anchored at 0.  The boundary point itself
     belongs to the piece on its right.
     """
 
-    __slots__ = ("circumference", "degree", "boundaries", "slopes", "value_at_first")
+    __slots__ = ("circumference", "degree", "boundaries", "slopes", "value_at_first",
+                 "_lift")
 
     def __init__(self, circumference, degree, boundaries, slopes, value_at_first):
         r = int(circumference)
@@ -104,63 +106,32 @@ class PLCircleMap:
             raise ValueError("boundaries must be strictly increasing")
         if any(s <= 0 for s in ss):
             raise ValueError("slopes must be positive")
-        total = sum(
-            s * (self._gap(bs, i, r)) for i, s in enumerate(ss)
-        )
+        # The lift at each boundary over the window [b0, b0 + r).
+        lift = [reduce_to_circle(as_fraction(value_at_first), r)]
+        for i in range(len(bs) - 1):
+            lift.append(lift[-1] + ss[i] * (bs[i + 1] - bs[i]))
+        total = lift[-1] + ss[-1] * (bs[0] + r - bs[-1]) - lift[0]
         if total != d * r:
             raise ValueError(
                 f"slopes integrate to {total}, expected degree*circumference {d * r}"
             )
-        value0 = reduce_to_circle(as_fraction(value_at_first), r)
 
         # Normalise: keep only boundaries where the slope actually changes.
         keep = [i for i in range(len(bs)) if ss[i] != ss[i - 1]]
         if not keep:
-            # Break-free: the slope is forced to equal the degree.
-            values = self._window_values(bs, ss, value0, r)
-            anchor_value = self._eval_raw(bs, ss, values, ZERO, r, d)
-            self.circumference = r
-            self.degree = d
-            self.boundaries = (ZERO,)
-            self.slopes = (Fraction(d),)
-            self.value_at_first = reduce_to_circle(anchor_value, r)
-            return
-        if len(keep) != len(bs):
-            values = self._window_values(bs, ss, value0, r)
-            new_bs = tuple(bs[i] for i in keep)
-            new_ss = tuple(ss[i] for i in keep)
-            new_v0 = self._eval_raw(bs, ss, values, new_bs[0], r, d)
-            bs, ss, value0 = new_bs, new_ss, reduce_to_circle(new_v0, r)
+            # Break-free: the slope is forced to equal the degree; anchor at 0.
+            bs, ss, lift = (ZERO,), (Fraction(d),), [lift[0] - d * bs[0]]
+        else:
+            bs = tuple(bs[i] for i in keep)
+            ss = tuple(ss[i] for i in keep)
+            lift = [lift[i] for i in keep]
+        shift = lift[0] - reduce_to_circle(lift[0], r)
         self.circumference = r
         self.degree = d
         self.boundaries = bs
         self.slopes = ss
-        self.value_at_first = value0
-
-    # -- raw helpers used before the object is fully built ------------------
-
-    @staticmethod
-    def _gap(bs: Sequence[Fraction], i: int, r: int) -> Fraction:
-        if i + 1 < len(bs):
-            return bs[i + 1] - bs[i]
-        return bs[0] + r - bs[i]
-
-    @staticmethod
-    def _window_values(bs, ss, value0, r) -> list[Fraction]:
-        """Lift values at each boundary over the window starting at bs[0]."""
-        values = [value0]
-        for i in range(len(bs) - 1):
-            values.append(values[-1] + ss[i] * (bs[i + 1] - bs[i]))
-        return values
-
-    @classmethod
-    def _eval_raw(cls, bs, ss, values, x, r, d) -> Fraction:
-        """Evaluate the un-normalised data at a circle point x in [0, r)."""
-        shifted = x < bs[0]
-        lifted = x + r if shifted else x
-        i = bisect.bisect_right(bs, lifted) - 1
-        value = values[i] + ss[i] * (lifted - bs[i])
-        return value - d * r if shifted else value
+        self._lift = tuple(v - shift for v in lift)
+        self.value_at_first = self._lift[0]
 
     # -- constructors --------------------------------------------------------
 
@@ -199,10 +170,6 @@ class PLCircleMap:
         i = bisect.bisect_right(self.boundaries, lifted) - 1
         return i if i >= 0 else len(self.boundaries) - 1
 
-    def _window_lift_values(self) -> list[Fraction]:
-        return self._window_values(self.boundaries, self.slopes, self.value_at_first,
-                                   self.circumference)
-
     def lift_value(self, x) -> Fraction:
         """Value of the lift normalised by F(b0) = value_at_first, at any real x."""
         x = as_fraction(x)
@@ -210,9 +177,8 @@ class PLCircleMap:
         b0 = self.boundaries[0]
         k = (x - b0) // r
         window_x = x - k * r
-        values = self._window_lift_values()
         i = self._piece_index(window_x)
-        base = values[i] + self.slopes[i] * (window_x - self.boundaries[i])
+        base = self._lift[i] + self.slopes[i] * (window_x - self.boundaries[i])
         return base + k * self.degree * r
 
     def evaluate(self, x) -> Fraction:
@@ -230,11 +196,10 @@ class PLCircleMap:
         b0 = self.boundaries[0]
         k = (x - b0) // r
         window_x = x - k * r
-        values = self._window_lift_values()
         i = self._piece_index(window_x)
-        # F(t) = values[i] + s*(t - b_i) on the window; shifting by k*r adds k*d*r.
+        # F(t) = lift[i] + s*(t - b_i) on the window; shifting by k*r adds k*d*r.
         s = self.slopes[i]
-        intercept = values[i] - s * self.boundaries[i] + k * r * (self.degree - s)
+        intercept = self._lift[i] - s * self.boundaries[i] + k * r * (self.degree - s)
         return AffinePiece(s, intercept)
 
     def right_slope(self, x) -> Fraction:
@@ -261,12 +226,11 @@ class PLCircleMap:
 
     def window_pieces(self) -> Iterator[tuple[Fraction, Fraction, AffinePiece]]:
         """Triples (start, end, branch) covering the window [b0, b0 + r)."""
-        values = self._window_lift_values()
         r = self.circumference
         for i, b in enumerate(self.boundaries):
             end = self.boundaries[i + 1] if i + 1 < len(self.boundaries) else self.boundaries[0] + r
             s = self.slopes[i]
-            yield b, end, AffinePiece(s, values[i] - s * b)
+            yield b, end, AffinePiece(s, self._lift[i] - s * b)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -621,10 +585,6 @@ class MembershipReport:
         return all(self.items)
 
 
-def _window_intercepts(m: PLCircleMap) -> list[Fraction]:
-    return [branch.intercept for _, _, branch in m.window_pieces()]
-
-
 def classify(m, n: int) -> MembershipReport:
     """Classify a map against the base-n piecewise-affine group hierarchy.
 
@@ -668,12 +628,11 @@ def classify(m, n: int) -> MembershipReport:
                                 end_translations, shift)
 
     if isinstance(m, PLCircleMap):
-        slopes = m.slopes
-        item3 = all(power_exponent(s, n) is not None for s in slopes)
+        item3 = all(power_exponent(s, n) is not None for s in m.slopes)
         item4 = all(is_nadic(b, n) for b in m.breakpoints)
         item5 = all(
-            is_smooth(s.denominator, n) and is_nadic(c, n)
-            for s, c in zip(slopes, _window_intercepts(m))
+            is_smooth(p.slope.denominator, n) and is_nadic(p.intercept, n)
+            for _, _, p in m.window_pieces()
         )
         items = (True, True, item3, item4, item5)
         if all(items):
@@ -702,7 +661,7 @@ def _preserves_zero_class(m: PLCircleMap, n: int) -> bool:
     if g == 1:
         return True
     return all(
-        digit_class(c, n) % g == 0 for c in _window_intercepts(m)
+        digit_class(p.intercept, n) % g == 0 for _, _, p in m.window_pieces()
     )
 
 
@@ -776,6 +735,8 @@ def map_from_dict(data: dict):
             r = int(data["circumference"])
             d = int(data["degree"])
             pieces = data["pieces"]
+            if not pieces:
+                raise ParseError("malformed map description: a circle map needs pieces")
             bs = tuple(as_fraction(p["start"]) for p in pieces)
             ss = tuple(as_fraction(p["slope"]) for p in pieces)
             cs = tuple(as_fraction(p["intercept"]) for p in pieces)

@@ -176,6 +176,14 @@ class TestConjugatorEval:
         assert code == 0
         assert "output image:" in out
 
+    def test_negative_depth_flag_is_an_input_error(self, capsys, partition_file):
+        code, out, err = run_cli(
+            capsys, "partition", "conjugator-eval", partition_file("2"),
+            "--point", "1/6", "--depth", "-1")
+        assert code == 1
+        assert "error: argument --depth: depth must be non-negative" in err
+        assert out == ""
+
 
 class TestPLCriterionCommand:
     def test_refuting_witness(self, capsys, partition_file):
@@ -229,6 +237,14 @@ class TestDyadicStatus:
             "--depth", "6")
         assert code == 0
         assert "input depth: 6" in out
+
+    def test_negative_depth_flag_is_an_input_error(self, capsys, partition_file):
+        code, out, err = run_cli(
+            capsys, "partition", "dyadic-status", partition_file("2"),
+            "--depth", "-2")
+        assert code == 1
+        assert "error: argument --depth: depth must be non-negative" in err
+        assert out == ""
 
     def test_uniform_partition_has_no_counterexample(self, capsys, tmp_path):
         code, out, _ = run_cli(

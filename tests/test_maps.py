@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 
 import pytest
 
-from chameleon.errors import BudgetExceeded, NotAPowerRatio
+from chameleon.errors import BudgetExceeded, NotAPowerRatio, ParseError
+from chameleon.exact import reduce_to_circle
 from chameleon.interpolate import interpolate_line, random_dyadic_homeomorphism
 from chameleon.maps import (
+    AffinePiece,
     EndTranslations,
     PLCircleMap,
     PLLineMap,
@@ -36,6 +39,138 @@ def random_circle_map(rng: random.Random) -> PLCircleMap:
 
 def random_dyadics(rng: random.Random, count: int):
     return [F(rng.randrange(0, 2**7), 2**7) for _ in range(count)]
+
+
+# Reference for PLCircleMap's stored lift: walks the window again on every
+# call and evaluates un-normalised constructor data directly.
+
+
+def reference_window_values(bs, ss, value0):
+    """Lift values at each boundary over the window starting at bs[0]."""
+    values = [value0]
+    for i in range(len(bs) - 1):
+        values.append(values[-1] + ss[i] * (bs[i + 1] - bs[i]))
+    return values
+
+
+def reference_eval_raw(bs, ss, values, x, r, d):
+    """Evaluate un-normalised data at a circle point x in [0, r)."""
+    shifted = x < bs[0]
+    lifted = x + r if shifted else x
+    i = bisect.bisect_right(bs, lifted) - 1
+    value = values[i] + ss[i] * (lifted - bs[i])
+    return value - d * r if shifted else value
+
+
+def reference_canonical_form(r, d, bs, ss, value_at_first):
+    """(boundaries, slopes, value_at_first) after merging and anchoring."""
+    values = reference_window_values(bs, ss, reduce_to_circle(value_at_first, r))
+    keep = [i for i in range(len(bs)) if ss[i] != ss[i - 1]]
+    if not keep:
+        anchor = reference_eval_raw(bs, ss, values, F(0), r, d)
+        return (F(0),), (F(d),), reduce_to_circle(anchor, r)
+    new_bs = tuple(bs[i] for i in keep)
+    new_ss = tuple(ss[i] for i in keep)
+    new_v0 = reference_eval_raw(bs, ss, values, new_bs[0], r, d)
+    return new_bs, new_ss, reduce_to_circle(new_v0, r)
+
+
+def reference_lift_piece(r, d, bs, ss, value0, x) -> AffinePiece:
+    """The branch of the canonical lift owning the real point x."""
+    k = (x - bs[0]) // r
+    window_x = x - k * r
+    values = reference_window_values(bs, ss, value0)
+    i = bisect.bisect_right(bs, window_x) - 1
+    s = ss[i]
+    return AffinePiece(s, values[i] - s * bs[i] + k * r * (d - s))
+
+
+def reference_window_pieces(r, bs, ss, value0):
+    values = reference_window_values(bs, ss, value0)
+    ends = bs[1:] + (bs[0] + r,)
+    return [(b, e, AffinePiece(s, v - s * b))
+            for b, e, s, v in zip(bs, ends, ss, values)]
+
+
+def random_raw_circle_data(rng: random.Random):
+    """Valid, often un-normalised constructor arguments on an 1/8 grid.
+
+    Some slopes repeat across a boundary (redundant boundaries), some maps are
+    break-free with a first boundary above 0, and the value at the first
+    boundary ranges over several circumferences.
+    """
+    r = rng.randint(1, 3)
+    d = rng.randint(1, 3)
+    grid = [F(j, 8) for j in range(8 * r)]
+    bs = sorted(rng.sample(grid, rng.randint(1, min(5, len(grid)))))
+    gaps = [b2 - b1 for b1, b2 in zip(bs, bs[1:])] + [bs[0] + r - bs[-1]]
+    if rng.random() < 0.25:
+        weights = [F(1)] * len(bs)  # break-free: every slope equals d
+    else:
+        weights = [F(rng.randint(1, 4), rng.choice((1, 2))) for _ in bs]
+        for i in range(1, len(bs)):
+            if rng.random() < 0.3:
+                weights[i] = weights[i - 1]  # a redundant boundary
+    scale = d * r / sum(w * g for w, g in zip(weights, gaps))
+    ss = [w * scale for w in weights]
+    value_at_first = F(rng.randrange(-48 * r, 48 * r), 16)
+    return r, d, tuple(bs), tuple(ss), value_at_first
+
+
+class TestStoredLift:
+    """The lift kept at construction agrees with the former per-call walk."""
+
+    @staticmethod
+    def sample_points(r, raw_bs, m):
+        points = set(raw_bs) | set(m.boundaries)
+        ends = m.boundaries[1:] + (m.boundaries[0] + r,)
+        points |= {(a + b) / 2 for a, b in zip(m.boundaries, ends)}
+        points |= {(a + b) / 2 for a, b in zip(raw_bs, raw_bs[1:] + (raw_bs[0] + r,))}
+        points |= {F(0), F(r) - F(1, 1000), F(1, 3)}
+        return sorted(points | {x + k * r for x in points for k in (-2, -1, 1, 3)})
+
+    def check_against_reference(self, r, d, bs, ss, value_at_first):
+        m = PLCircleMap(r, d, bs, ss, value_at_first)
+        cbs, css, cv0 = reference_canonical_form(r, d, bs, ss, value_at_first)
+        assert (m.boundaries, m.slopes, m.value_at_first) == (cbs, css, cv0)
+        assert list(m.window_pieces()) == reference_window_pieces(r, cbs, css, cv0)
+        raw_values = reference_window_values(bs, ss, reduce_to_circle(value_at_first, r))
+        for x in self.sample_points(r, bs, m):
+            piece = reference_lift_piece(r, d, cbs, css, cv0, x)
+            assert m.lift_piece(x) == piece
+            assert m.lift_value(x) == piece(x)
+            circle_x = reduce_to_circle(x, r)
+            raw_image = reference_eval_raw(bs, ss, raw_values, circle_x, r, d)
+            assert m.evaluate(x) == reduce_to_circle(raw_image, r)
+            assert m.evaluate(x) == reduce_to_circle(piece(x), r)
+
+    def test_seeded_raw_data_matches_reference(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            self.check_against_reference(*random_raw_circle_data(rng))
+
+    def test_redundant_boundaries(self):
+        # Slope 1 on [0, 1/2) split at 1/4; slope 3 on [1/2, 1) split at 3/4.
+        bs = (F(0), F(1, 4), F(1, 2), F(3, 4))
+        ss = (F(1), F(1), F(3), F(3))
+        self.check_against_reference(1, 2, bs, ss, F(5, 8))
+        m = PLCircleMap(1, 2, bs, ss, F(5, 8))
+        assert m.boundaries == (F(0), F(1, 2))
+
+    def test_break_free_data_with_positive_first_boundary(self):
+        bs = (F(1, 4), F(3, 2))
+        ss = (F(3), F(3))
+        self.check_against_reference(2, 3, bs, ss, F(1, 8))
+        m = PLCircleMap(2, 3, bs, ss, F(1, 8))
+        # F(0) = F(1/4) - 3 * 1/4, reduced to [0, 2).
+        assert (m.boundaries, m.slopes, m.value_at_first) == ((F(0),), (F(3),), F(11, 8))
+
+    def test_value_at_first_outside_the_circle(self):
+        bs = (F(1, 8), F(5, 8))
+        ss = (F(1, 2), F(3, 2))
+        for value in (F(-17, 4), F(7), F(3, 2) - 5):
+            self.check_against_reference(1, 1, bs, ss, value)
+        assert PLCircleMap(1, 1, bs, ss, F(-17, 4)).value_at_first == F(3, 4)
 
 
 class TestConstructors:
@@ -109,6 +244,11 @@ class TestCanonicalForm:
             clone = map_from_dict(map_to_dict(m))
             assert clone == m
             assert map_to_dict(clone) == map_to_dict(m)
+
+    def test_circle_dict_without_pieces_is_malformed(self):
+        with pytest.raises(ParseError):
+            map_from_dict({"space": "circle", "circumference": 1, "degree": 2,
+                           "pieces": []})
 
     def test_line_dict_round_trip(self):
         f = PLLineMap.from_profile([F(0), F(1)], [F(1), F(2), F(1)], F(0), F(0))
