@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations
 from typing import Optional
 
 from .errors import (
@@ -41,9 +42,55 @@ from .markov import (
 )
 
 
-def _preserves_lattice(g: PLCircleMap, n: int) -> bool:
-    report = classify(g, n)
-    return report.items[2] and report.items[3] and report.items[4]
+def _break_sums(g: PLCircleMap, points, n: int,
+                max_steps: int = 4096) -> list[int]:
+    """Iterated break sums of circle points, in order, sharing one walk.
+
+    Each walk stops at a point summed earlier or where it closes its cycle,
+    and assigns sums back along itself, so g and break_value run once per
+    distinct orbit point.  The first point that refuses raises what
+    ``iterated_break_sum`` raises for it.
+    """
+    known: dict[Fraction, tuple[int, int]] = {}  # point -> (sum, orbit length)
+    # Under classify items 3-5 an off-lattice orbit never meets a break.
+    lattice = (any(not is_nadic(x, n) for x in points)
+               and all(classify(g, n).items[2:]))
+    sums = []
+    for x in points:
+        if lattice and not is_nadic(x, n):
+            sums.append(0)
+            continue
+        walk, seen, current = [], {}, x
+        while current not in known and current not in seen and len(walk) <= max_steps:
+            seen[current] = len(walk)
+            walk.append(current)
+            current = g.evaluate(current)
+        total, length = known.get(current, (0, 0))
+        length += len(walk)
+        if length > max_steps:
+            orbit(g, x, max_steps=max_steps)  # raises BudgetExceeded
+        cut = seen.get(current, len(walk))  # walk[cut:] is the cycle, if it closed
+        cycle = tuple(walk[cut:])
+        cycle_breaks = tuple(break_value(g, c, n) for c in cycle)
+        if any(cycle_breaks):
+            if len(cycle) == 1:
+                raise DivergentFixedPoint(
+                    f"orbit of {x} ends at fixed point {cycle[0]} with "
+                    f"break value {cycle_breaks[0]}",
+                    point=cycle[0], break_value=cycle_breaks[0],
+                )
+            raise DivergentCycle(
+                f"orbit of {x} enters the cycle {cycle} with break values "
+                f"{cycle_breaks}",
+                cycle=cycle, break_values=cycle_breaks,
+            )
+        known.update(dict.fromkeys(cycle, (0, len(cycle))))
+        values = [break_value(g, q, n) for q in walk[:cut]]
+        for i in reversed(range(cut)):
+            total += values[i]
+            known[walk[i]] = (total, length - i)
+        sums.append(known[x][0])
+    return sums
 
 
 def iterated_break_sum(g: PLCircleMap, x, max_steps: int = 4096,
@@ -58,23 +105,7 @@ def iterated_break_sum(g: PLCircleMap, x, max_steps: int = 4096,
     """
     n = base if base is not None else g.circumference + 1
     x = reduce_to_circle(as_fraction(x), g.circumference)
-    if not is_nadic(x, n) and _preserves_lattice(g, n):
-        return 0
-    result = orbit(g, x, max_steps=max_steps)
-    cycle_breaks = tuple(break_value(g, c, n) for c in result.cycle)
-    if any(cycle_breaks):
-        if len(result.cycle) == 1:
-            raise DivergentFixedPoint(
-                f"orbit of {x} ends at fixed point {result.cycle[0]} with "
-                f"break value {cycle_breaks[0]}",
-                point=result.cycle[0], break_value=cycle_breaks[0],
-            )
-        raise DivergentCycle(
-            f"orbit of {x} enters the cycle {result.cycle} with break values "
-            f"{cycle_breaks}",
-            cycle=result.cycle, break_values=cycle_breaks,
-        )
-    return sum(break_value(g, p, n) for p in result.prefix)
+    return _break_sums(g, [x], n, max_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -131,9 +162,7 @@ class BreakSumTable:
         return tuple((i, self.stable_level, v) for i, v in self.entries)
 
 
-def break_sum_table(g: PLCircleMap, P: AffineMarkovPartition,
-                    chain: Optional[LevelChain] = None,
-                    max_steps: int = 4096) -> BreakSumTable:
+def break_sum_table(g: PLCircleMap, P: AffineMarkovPartition) -> BreakSumTable:
     """Break sums at all newest stable-level vertices of the partition.
 
     Requires the power form (otherwise the stable level does not exist) and
@@ -144,26 +173,20 @@ def break_sum_table(g: PLCircleMap, P: AffineMarkovPartition,
     n = P.base
     if K == 0:
         return BreakSumTable(base=n, stable_level=K, entries=())
-    if chain is None:
-        chain = LevelChain(P, g)
-    entries = []
-    for i in range((n - 1) * n**K):
-        if i % n == 0:
-            continue
-        x = vertex_value(P, g, VertexRef(i, K), chain)
-        entries.append((i, iterated_break_sum(g, x, max_steps=max_steps, base=n)))
-    return BreakSumTable(base=n, stable_level=K, entries=tuple(entries))
+    # K is at most the power exponent, so these vertices are cut points.
+    indices = [i for i in range((n - 1) * n**K) if i % n]
+    sums = _break_sums(g, [vertex_value(P, g, VertexRef(i, K)) for i in indices], n)
+    return BreakSumTable(base=n, stable_level=K, entries=tuple(zip(indices, sums)))
 
 
-def coboundary_check(g: PLCircleMap, xs, max_steps: int = 4096) -> bool:
+def coboundary_check(g: PLCircleMap, xs) -> bool:
     """Whether the break value equals the step difference of break sums,
     break(x) = sum(x) - sum(g(x)), at every sample point."""
     n = g.circumference + 1
     for x in xs:
         x = reduce_to_circle(as_fraction(x), g.circumference)
         lhs = break_value(g, x, n)
-        rhs = (iterated_break_sum(g, x, max_steps=max_steps)
-               - iterated_break_sum(g, g.evaluate(x), max_steps=max_steps))
+        rhs = iterated_break_sum(g, x) - iterated_break_sum(g, g.evaluate(x))
         if lhs != rhs:
             return False
     return True
@@ -180,22 +203,8 @@ class OrbitMergeViolation:
     right_sum: int
 
 
-def _vertices_up_to(P: AffineMarkovPartition, g: PLCircleMap, level: int,
-                    chain: LevelChain) -> list[Fraction]:
-    n, m = P.base, P.power_exponent
-    if m is not None:
-        if level <= m:
-            stride = n**(m - level)
-            return [P.endpoints[i * stride] for i in range((n - 1) * n**level)]
-        return list(chain.table(level - m).values)
-    if level == 0:
-        return list(P.endpoints)
-    return list(chain.table(level).values)
-
-
 def orbit_merge_violations(g: PLCircleMap, P: AffineMarkovPartition,
-                           level_bound: int,
-                           max_steps: int = 4096) -> tuple[OrbitMergeViolation, ...]:
+                           level_bound: int) -> tuple[OrbitMergeViolation, ...]:
     """All vertex pairs up to a level whose orbits meet with unequal break
     totals accumulated up to the first common point.
 
@@ -203,35 +212,32 @@ def orbit_merge_violations(g: PLCircleMap, P: AffineMarkovPartition,
     whether a violation is reported at the first meeting or any later one is
     immaterial, since after the merge both orbits collect identical terms.
     """
+    if level_bound < 0:
+        raise ValueError("level bound must be nonnegative")
     n = P.base
+    # Level 0 holds the cut points, or the n - 1 grid points in power form.
+    count = P.interval_count if P.power_exponent is None else n - 1
     chain = LevelChain(P, g)
-    points = _vertices_up_to(P, g, level_bound, chain)
-    walks = {}
-    for x in points:
-        res = orbit(g, x, max_steps=max_steps)
-        walks[x] = list(res.prefix) + list(res.cycle)
+    points = [vertex_value(P, g, VertexRef(i, level_bound), chain)
+              for i in range(count * n**level_bound)]
+    walks = [orbit(g, x).points for x in points]
+    firsts = [{q: j for j, q in enumerate(w)} for w in walks]
+    # totals[k][i] is the break total over walks[k][:i].
+    totals = [list(accumulate((break_value(g, q, n) for q in w[:-1]), initial=0))
+              for w in walks]
     violations = []
-    for a_idx in range(len(points)):
-        for b_idx in range(a_idx + 1, len(points)):
-            x, y = points[a_idx], points[b_idx]
-            wx, wy = walks[x], walks[y]
-            pos_y = {pt: j for j, pt in reversed(list(enumerate(wy)))}
-            meet = None
-            for i, pt in enumerate(wx):
-                if pt in pos_y:
-                    j = pos_y[pt]
-                    if meet is None or i + j < meet[0] + meet[1]:
-                        meet = (i, j, pt)
-            if meet is None:
-                continue
-            i, j, pt = meet
-            left_sum = sum(break_value(g, q, n) for q in wx[:i])
-            right_sum = sum(break_value(g, q, n) for q in wy[:j])
-            if left_sum != right_sum:
-                violations.append(OrbitMergeViolation(
-                    left=x, right=y, meeting_point=pt,
-                    left_sum=left_sum, right_sum=right_sum,
-                ))
+    for a, b in combinations(range(len(points)), 2):
+        # The first common point: least i + j, then least i.
+        meets = [(i + firsts[b][q], i) for i, q in enumerate(walks[a]) if q in firsts[b]]
+        if not meets:
+            continue
+        steps, i = min(meets)
+        left_sum, right_sum = totals[a][i], totals[b][steps - i]
+        if left_sum != right_sum:
+            violations.append(OrbitMergeViolation(
+                left=points[a], right=points[b], meeting_point=walks[a][i],
+                left_sum=left_sum, right_sum=right_sum,
+            ))
     return tuple(violations)
 
 
@@ -290,8 +296,7 @@ class CriterionVerdict:
         }
 
 
-def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition,
-                 max_steps: int = 4096) -> CriterionVerdict:
+def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     """Decide whether the partition's conjugator is piecewise linear (base 2).
 
     The conjugator is PL exactly when the break sum is constant across the
@@ -303,8 +308,7 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition,
     """
     if P.base != 2:
         raise ValueError("the piecewise-linearity decision is specific to base 2")
-    chain = LevelChain(P, g)
-    table = break_sum_table(g, P, chain=chain, max_steps=max_steps)
+    table = break_sum_table(g, P)
     K = table.stable_level
     if not table.is_constant:
         seq = table.entries
@@ -317,13 +321,11 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition,
             conjugator=None, initial_slope=None, assignment=None,
         )
     common = table.constant_value()
-    assignment_entries = []
-    for i in range(0, 2**K, 2):
-        x = vertex_value(P, g, VertexRef(i, K), chain)
-        b = common - iterated_break_sum(g, x, max_steps=max_steps, base=2)
-        if b != 0:
-            assignment_entries.append((x, b))
-    assignment = BreakAssignment(entries=tuple(sorted(assignment_entries)))
+    shallow = [vertex_value(P, g, VertexRef(i, K)) for i in range(0, 2**K, 2)]
+    assignment = BreakAssignment(entries=tuple(sorted(
+        (x, common - v) for x, v in zip(shallow, _break_sums(g, shallow, 2))
+        if v != common
+    )))
     if assignment.total != 0:
         raise ReconstructionMismatch(
             f"break budget sums to {assignment.total}, expected 0"
@@ -388,10 +390,8 @@ def find_break_sum_discrepancy(g: PLCircleMap, P: AffineMarkovPartition,
         raise ValueError("the discrepancy search is specific to base 2")
     if pad < 1:
         raise ValueError("pad must be at least 1")
-    if chain is None:
-        chain = LevelChain(P, g)
     if table is None:
-        table = break_sum_table(g, P, chain=chain)
+        table = break_sum_table(g, P)
     K = table.stable_level
     left, right = reduce_ref(left, 2), reduce_ref(right, 2)
     for ref in (left, right):

@@ -370,7 +370,9 @@ def partition_from_expanding_map(g: PLCircleMap,
                 "of 0 cannot place it on a vertex",
                 point=b,
             )
-    vertices = {Fraction(0)}
+    # As 0 is fixed, g^-k(0) contains g^-(k-1)(0); each round pulls back only
+    # the points the previous round added.
+    vertices, fresh = {Fraction(0)}, {Fraction(0)}
     rounds = 0
     while not breaks <= vertices:
         if rounds >= max_refinements:
@@ -382,12 +384,13 @@ def partition_from_expanding_map(g: PLCircleMap,
         for start, end, branch in g.window_pieces():
             s, c = branch.slope, branch.intercept
             lo, hi = branch(start), branch(end)
-            for v in vertices:
+            for v in fresh:
                 k = -((-(lo - v)) // r)  # smallest k with v + k*r >= lo
                 while v + k * r < hi:
                     pulled.add(reduce_to_circle((v + k * r - c) / s, r))
                     k += 1
-        vertices = pulled
+        fresh = pulled - vertices
+        vertices |= fresh
         rounds += 1
     cuts = sorted(vertices)
     gaps = [b - a for a, b in zip(cuts, cuts[1:])] + [cuts[0] + r - cuts[-1]]

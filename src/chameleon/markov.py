@@ -371,6 +371,8 @@ def vertex_value(P: AffineMarkovPartition, g: PLCircleMap, ref: VertexRef,
 def interval_length_at(P: AffineMarkovPartition, g: PLCircleMap, level: int,
                        index: int, chain: Optional[LevelChain] = None) -> Fraction:
     """Length of the level interval starting at the given vertex index."""
+    if level < 0:
+        raise ValueError("refinement level must be nonnegative")
     n = P.base
     m = P.power_exponent
     if m is not None:

@@ -309,7 +309,7 @@ def test_criterion_09(examples, random_conjugate_factory):
 
         partition, g, _ = examples["1"]
         chain = LevelChain(partition, g)
-        table = break_sum_table(g, partition, chain=chain)
+        table = break_sum_table(g, partition)
         K = table.stable_level
         anchors = [VertexRef(i, level)
                    for level in (K, K + 1) for i in range(1, 2**level, 2)]
@@ -328,7 +328,7 @@ def test_criterion_09(examples, random_conjugate_factory):
         for seed in (0, 1, 2):
             _, g2, partition2 = random_conjugate_factory(seed)
             chain2 = LevelChain(partition2, g2)
-            table2 = break_sum_table(g2, partition2, chain=chain2)
+            table2 = break_sum_table(g2, partition2)
             expect(bad, table2.is_constant, f"round trip {seed} not constant")
             K2 = table2.stable_level
             for left in (VertexRef(1, K2 + 1), VertexRef(max(1, 2**K2 - 1), max(K2, 1))):

@@ -11,6 +11,8 @@ import pytest
 
 from chameleon.breaks import (
     BreakSumTable,
+    OrbitMergeViolation,
+    _break_sums,
     break_sum_table,
     coboundary_check,
     find_break_sum_discrepancy,
@@ -66,6 +68,70 @@ def orbit_sum_oracle(g, x, stop=None):
             walk.append(p)
             p = g.evaluate(p)
     return sum(break_value(g, q, n) for q in walk)
+
+
+def iterated_sum_oracle(g, x, n, max_steps=4096):
+    """The per-point orbit() + break_value() sum that the shared walk
+    replaced, refusals and their messages included."""
+    result = orbit(g, x, max_steps=max_steps)
+    cycle_breaks = tuple(break_value(g, c, n) for c in result.cycle)
+    if any(cycle_breaks):
+        if len(result.cycle) == 1:
+            raise DivergentFixedPoint(
+                f"orbit of {x} ends at fixed point {result.cycle[0]} with "
+                f"break value {cycle_breaks[0]}",
+                point=result.cycle[0], break_value=cycle_breaks[0],
+            )
+        raise DivergentCycle(
+            f"orbit of {x} enters the cycle {result.cycle} with break values "
+            f"{cycle_breaks}",
+            cycle=result.cycle, break_values=cycle_breaks,
+        )
+    return sum(break_value(g, p, n) for p in result.prefix)
+
+
+def outcome(compute):
+    """A result, or a refusal as (type, message, fields), for comparison."""
+    try:
+        return compute()
+    except (BudgetExceeded, DivergentCycle, DivergentFixedPoint) as err:
+        return type(err), str(err), vars(err)
+
+
+def merge_violations_oracle(g, partition, level):
+    """The pair-by-pair orbit-merge scan: every vertex pair re-derives its
+    first meeting and both break totals from the full orbits."""
+    n, m = partition.base, partition.power_exponent
+    chain = LevelChain(partition, g)
+    if m is not None and level <= m:
+        stride = n**(m - level)
+        points = [partition.endpoints[i * stride] for i in range((n - 1) * n**level)]
+    else:
+        points = list(chain.table(level - (m or 0)).values)
+    walks = {x: list(orbit(g, x).points) for x in points}
+    violations = []
+    for a_idx in range(len(points)):
+        for b_idx in range(a_idx + 1, len(points)):
+            x, y = points[a_idx], points[b_idx]
+            wx, wy = walks[x], walks[y]
+            pos_y = {pt: j for j, pt in reversed(list(enumerate(wy)))}
+            meet = None
+            for i, pt in enumerate(wx):
+                if pt in pos_y:
+                    j = pos_y[pt]
+                    if meet is None or i + j < meet[0] + meet[1]:
+                        meet = (i, j, pt)
+            if meet is None:
+                continue
+            i, j, pt = meet
+            left_sum = sum(break_value(g, q, n) for q in wx[:i])
+            right_sum = sum(break_value(g, q, n) for q in wy[:j])
+            if left_sum != right_sum:
+                violations.append(OrbitMergeViolation(
+                    left=x, right=y, meeting_point=pt,
+                    left_sum=left_sum, right_sum=right_sum,
+                ))
+    return tuple(violations)
 
 
 def one_sided_slopes(g, p):
@@ -152,6 +218,82 @@ class TestIteratedSums:
         assert break_value(g, F(0)) == load_example(example_id)["origin_break"]
 
 
+class TestSharedWalk:
+    """The walk that shares orbit points between sums, against the per-point
+    orbit() + break_value() sum."""
+
+    @staticmethod
+    def corpus(examples, random_conjugate_factory):
+        """(map, base, points): the examples' vertices of the first levels and
+        of the stable level where one exists, and seeded random conjugates'
+        stable-level vertices."""
+        cases = []
+        for partition, g, _ in examples.values():
+            levels = [0, 1, 2]
+            if partition.power_exponent is not None:
+                levels.append(stable_level(partition))
+            for level in levels:
+                cases.append((g, partition.base,
+                               vertices_at_level(partition, g, level)))
+        for seed in range(6):
+            _, g, partition = random_conjugate_factory(seed)
+            cases.append((g, 2, vertices_at_level(partition, g,
+                                                  stable_level(partition))))
+        return cases
+
+    def test_sums_and_refusals_match_the_per_point_sum(
+            self, examples, random_conjugate_factory):
+        for g, n, points in self.corpus(examples, random_conjugate_factory):
+            for x in points:
+                assert (outcome(lambda: _break_sums(g, [x], n))
+                        == outcome(lambda: [iterated_sum_oracle(g, x, n)]))
+            assert (outcome(lambda: _break_sums(g, points, n))
+                    == outcome(lambda: [iterated_sum_oracle(g, x, n)
+                                        for x in points]))
+
+    def test_every_divergence_kind_is_compared(self, examples,
+                                              random_conjugate_factory):
+        kinds = {outcome(lambda: _break_sums(g, points, n))[0]
+                 for g, n, points in self.corpus(examples,
+                                                 random_conjugate_factory)}
+        assert {DivergentFixedPoint, DivergentCycle} <= kinds
+
+    @pytest.mark.parametrize("example_id", ("1", "3", "4"))
+    def test_budget_refusals_match(self, examples, example_id):
+        """Small step budgets, on fresh walks and on walks that reach points
+        summed earlier in the same call."""
+        partition, g, _ = examples[example_id]
+        n = partition.base
+        points = vertices_at_level(partition, g, stable_level(partition) + 1)
+        orders = (points, points[::-1],
+                  [q for x in points for q in (g.evaluate(x), x)])
+        refusals = set()
+        for max_steps in range(1, 8):
+            for order in orders:
+                got = outcome(lambda: _break_sums(g, order, n, max_steps))
+                assert got == outcome(lambda: [iterated_sum_oracle(g, x, n, max_steps)
+                                               for x in order])
+                if isinstance(got, tuple):
+                    refusals.add(got[0])
+        assert BudgetExceeded in refusals
+
+    def test_budget_refusals_on_a_two_cycle(self, examples):
+        """Orbits that end on the zero-break two-cycle {5/16, 5/8} of the
+        third example, walked shortest first so later walks reach the cycle
+        already summed, and longest first."""
+        _, g, _ = examples["3"]
+        cycle = {F(5, 16), F(5, 8)}
+        points = sorted((x for x in (F(j, 256) for j in range(256))
+                         if set(orbit(g, x).cycle) == cycle),
+                        key=lambda x: len(orbit(g, x).points))
+        assert len(orbit(g, points[-1]).points) >= 5
+        for max_steps in range(1, 8):
+            for order in (points, points[::-1]):
+                assert (outcome(lambda: _break_sums(g, order, 2, max_steps))
+                        == outcome(lambda: [iterated_sum_oracle(g, x, 2, max_steps)
+                                            for x in order]))
+
+
 class TestBreakSumTable:
     @pytest.mark.parametrize("example_id", ("1", "3"))
     def test_golden_tables(self, examples, example_id):
@@ -180,7 +322,7 @@ class TestBreakSumTable:
         stable level must equal the sum computed directly at that point."""
         partition, g, _ = examples[example_id]
         chain = LevelChain(partition, g)
-        table = break_sum_table(g, partition, chain=chain)
+        table = break_sum_table(g, partition)
         K = table.stable_level
         for level in range(K, K + 3):
             for i in range(2**level):
@@ -327,6 +469,24 @@ class TestOrbitMerge:
             assert orbit_sum_oracle(g, v.left, stop=v.meeting_point) == v.left_sum
             assert orbit_sum_oracle(g, v.right, stop=v.meeting_point) == v.right_sum
 
+    @pytest.mark.parametrize("example_id", ("1", "2", "3", "4", "5"))
+    def test_examples_match_the_pair_scan(self, examples, example_id):
+        partition, g, _ = examples[example_id]
+        assert (orbit_merge_violations(g, partition, 4)
+                == merge_violations_oracle(g, partition, 4))
+
+    def test_random_conjugates_match_the_pair_scan(self, random_conjugate_factory):
+        for seed in (20, 21, 22, 23):
+            _, g, partition = random_conjugate_factory(seed)
+            assert (orbit_merge_violations(g, partition, 3)
+                    == merge_violations_oracle(g, partition, 3))
+
+    @pytest.mark.parametrize("example_id", ("1", "2"))
+    def test_negative_level_is_refused(self, examples, example_id):
+        partition, g, _ = examples[example_id]
+        with pytest.raises(ValueError):
+            orbit_merge_violations(g, partition, -1)
+
 
 class TestPLCriterion:
     @pytest.mark.parametrize("example_id", ("1", "3"))
@@ -426,7 +586,7 @@ class TestDiscrepancySearch:
     def test_example_one_sampled_anchors(self, examples):
         partition, g, _ = examples["1"]
         chain = LevelChain(partition, g)
-        table = break_sum_table(g, partition, chain=chain)
+        table = break_sum_table(g, partition)
         K = table.stable_level
         rng = random.Random(4)
         anchors = [VertexRef(rng.randrange(1, 2**level, 2), level)
@@ -466,7 +626,7 @@ class TestDiscrepancySearch:
         for seed in (1, 6):
             _, g, partition = random_conjugate_factory(seed)
             chain = LevelChain(partition, g)
-            table = break_sum_table(g, partition, chain=chain)
+            table = break_sum_table(g, partition)
             assert table.is_constant
             K = table.stable_level
             left = VertexRef(max(1, 2**K - 1), K)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,10 +356,11 @@ class TestArgumentErrors:
 
 
 def test_module_entry_point(partition_file):
+    src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
         [sys.executable, "-m", "chameleon.cli",
          "partition", "equal-pairs", partition_file("2")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.returncode == 0
     assert "verdict equal pairs: yes" in out.stdout

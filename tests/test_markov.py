@@ -332,6 +332,12 @@ class TestLengthRatios:
                     == table.interval_length(index)
                 )
 
+    @pytest.mark.parametrize("example_id", ("1", "2"))
+    def test_negative_level_is_refused(self, examples, example_id):
+        partition, g, _ = examples[example_id]
+        with pytest.raises(ValueError):
+            interval_length_at(partition, g, -1, 0)
+
 
 class TestNaturalSlope:
     def test_known_ratio_on_first_example(self, examples):
