@@ -36,61 +36,88 @@ from .markov import (
     AffineMarkovPartition,
     LevelChain,
     VertexRef,
+    build_expanding_map,
     reduce_ref,
     stable_level,
     vertex_value,
 )
 
 
-def _break_sums(g: PLCircleMap, points, n: int,
-                max_steps: int = 4096) -> list[int]:
-    """Iterated break sums of circle points, in order, sharing one walk.
+def _orbit_sums(g: PLCircleMap, starts, step, weight, known: dict,
+                point=lambda x: x, max_steps: int = 4096) -> list[int]:
+    """Break sums along forward orbits under ``step``, in order, sharing one walk.
 
-    Each walk stops at a point summed earlier or where it closes its cycle,
-    and assigns sums back along itself, so g and break_value run once per
-    distinct orbit point.  The first point that refuses raises what
-    ``iterated_break_sum`` raises for it.
+    ``weight`` gives the break value at an orbit element and ``point`` names
+    the element as a circle point of g.  Each walk stops at an element summed
+    earlier (``known`` maps it to its sum and orbit length) or where it closes
+    its cycle, and assigns sums back along itself, so step and weight run once
+    per distinct orbit element.  The first start that refuses raises what
+    ``iterated_break_sum`` raises at its point.
     """
-    known: dict[Fraction, tuple[int, int]] = {}  # point -> (sum, orbit length)
-    # Under classify items 3-5 an off-lattice orbit never meets a break.
-    lattice = (any(not is_nadic(x, n) for x in points)
-               and all(classify(g, n).items[2:]))
     sums = []
-    for x in points:
-        if lattice and not is_nadic(x, n):
-            sums.append(0)
-            continue
+    for x in starts:
         walk, seen, current = [], {}, x
         while current not in known and current not in seen and len(walk) <= max_steps:
             seen[current] = len(walk)
             walk.append(current)
-            current = g.evaluate(current)
+            current = step(current)
         total, length = known.get(current, (0, 0))
         length += len(walk)
         if length > max_steps:
-            orbit(g, x, max_steps=max_steps)  # raises BudgetExceeded
+            orbit(g, point(x), max_steps=max_steps)  # raises BudgetExceeded
         cut = seen.get(current, len(walk))  # walk[cut:] is the cycle, if it closed
-        cycle = tuple(walk[cut:])
-        cycle_breaks = tuple(break_value(g, c, n) for c in cycle)
+        cycle = tuple(point(c) for c in walk[cut:])
+        cycle_breaks = tuple(weight(c) for c in walk[cut:])
         if any(cycle_breaks):
             if len(cycle) == 1:
                 raise DivergentFixedPoint(
-                    f"orbit of {x} ends at fixed point {cycle[0]} with "
+                    f"orbit of {point(x)} ends at fixed point {cycle[0]} with "
                     f"break value {cycle_breaks[0]}",
                     point=cycle[0], break_value=cycle_breaks[0],
                 )
             raise DivergentCycle(
-                f"orbit of {x} enters the cycle {cycle} with break values "
+                f"orbit of {point(x)} enters the cycle {cycle} with break values "
                 f"{cycle_breaks}",
                 cycle=cycle, break_values=cycle_breaks,
             )
-        known.update(dict.fromkeys(cycle, (0, len(cycle))))
-        values = [break_value(g, q, n) for q in walk[:cut]]
+        known.update(dict.fromkeys(walk[cut:], (0, len(cycle))))
+        values = [weight(q) for q in walk[:cut]]
         for i in reversed(range(cut)):
             total += values[i]
             known[walk[i]] = (total, length - i)
         sums.append(known[x][0])
     return sums
+
+
+def _break_sums(g: PLCircleMap, points, n: int,
+                max_steps: int = 4096) -> list[int]:
+    """Iterated break sums of circle points, in order, walking g itself."""
+    def walk(xs):
+        return _orbit_sums(g, xs, g.evaluate, lambda q: break_value(g, q, n), {},
+                           max_steps=max_steps)
+    # Under classify items 3-5 an off-lattice orbit never meets a break.
+    if any(not is_nadic(x, n) for x in points) and all(classify(g, n).items[2:]):
+        sums = iter(walk([x for x in points if is_nadic(x, n)]))
+        return [next(sums) if is_nadic(x, n) else 0 for x in points]
+    return walk(points)
+
+
+def _cut_walker(g: PLCircleMap, P: AffineMarkovPartition):
+    """Break sums at cut points of P named by index, sharing one memo.
+
+    The map of P sends cut c to cut n*c mod p, and its break at cut c is
+    E[c] - E[c-1] for the slope exponents E, so the sums are integer walks on
+    Z/p.  Refuses with ValueError unless g is the map that
+    ``build_expanding_map(P)`` returns; refusals name cuts by their endpoints.
+    """
+    rebuilt, report = build_expanding_map(P)
+    if rebuilt != g:
+        raise ValueError("g must be the map build_expanding_map(P) returns")
+    n, p, E = P.base, P.interval_count, report.slope_exponents
+    weights = [E[c] - E[c - 1] for c in range(p)]
+    known: dict[int, tuple[int, int]] = {}
+    return lambda cuts: _orbit_sums(g, cuts, lambda c: n * c % p, weights.__getitem__,
+                                    known, P.endpoints.__getitem__)
 
 
 def iterated_break_sum(g: PLCircleMap, x, max_steps: int = 4096,
@@ -138,9 +165,10 @@ class BreakSumTable:
                 f"not reach it"
             )
         idx = reduced.index % self._modulus()
-        for i, v in self.entries:
-            if i == idx:
-                return v
+        # Entries run over the non-multiples of the base in order.
+        pos = idx - idx // self.base - 1
+        if 0 <= pos < len(self.entries) and self.entries[pos][0] == idx:
+            return self.entries[pos][1]
         raise ValueError(f"no entry for reduced index {idx}")
 
     def sequence(self) -> tuple[int, ...]:
@@ -165,17 +193,23 @@ class BreakSumTable:
 def break_sum_table(g: PLCircleMap, P: AffineMarkovPartition) -> BreakSumTable:
     """Break sums at all newest stable-level vertices of the partition.
 
-    Requires the power form (otherwise the stable level does not exist) and
-    finite sums at every one of those vertices; divergence refusals
-    propagate.
+    ``g`` must be the map ``build_expanding_map(P)`` returns; any other map is
+    refused with ValueError.  Requires the power form (otherwise the stable
+    level does not exist) and finite sums at every one of those vertices;
+    divergence refusals propagate.
     """
     K = stable_level(P)
     n = P.base
     if K == 0:
         return BreakSumTable(base=n, stable_level=K, entries=())
-    # K is at most the power exponent, so these vertices are cut points.
+    return _table(P, K, _cut_walker(g, P))
+
+
+def _table(P: AffineMarkovPartition, K: int, walk) -> BreakSumTable:
+    # K is at most the power exponent, so vertex (i, K) is cut i * n^(m-K).
+    n, stride = P.base, P.base**(P.power_exponent - K)
     indices = [i for i in range((n - 1) * n**K) if i % n]
-    sums = _break_sums(g, [vertex_value(P, g, VertexRef(i, K)) for i in indices], n)
+    sums = walk([i * stride for i in indices])
     return BreakSumTable(base=n, stable_level=K, entries=tuple(zip(indices, sums)))
 
 
@@ -305,11 +339,14 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     height of that vertex, the initial slope is solved exactly from the
     requirement that the pieces close up around the circle, and the rebuilt
     map is verified to intertwine doubling with g before it is returned.
+    ``g`` must be the map ``build_expanding_map(P)`` returns; any other map is
+    refused with ValueError.
     """
     if P.base != 2:
         raise ValueError("the piecewise-linearity decision is specific to base 2")
-    table = break_sum_table(g, P)
-    K = table.stable_level
+    K = stable_level(P)
+    walk = _cut_walker(g, P)
+    table = _table(P, K, walk)
     if not table.is_constant:
         seq = table.entries
         first_idx, first_val = seq[0]
@@ -321,9 +358,11 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
             conjugator=None, initial_slope=None, assignment=None,
         )
     common = table.constant_value()
-    shallow = [vertex_value(P, g, VertexRef(i, K)) for i in range(0, 2**K, 2)]
+    # The shallow vertices (i, K) with i even, as cuts.
+    m = P.power_exponent
+    shallow = range(0, 2**m, 2**(m - K + 1))
     assignment = BreakAssignment(entries=tuple(sorted(
-        (x, common - v) for x, v in zip(shallow, _break_sums(g, shallow, 2))
+        (P.endpoints[c], common - v) for c, v in zip(shallow, walk(shallow))
         if v != common
     )))
     if assignment.total != 0:

@@ -12,6 +12,7 @@ form when the partition pairs up.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -360,19 +361,40 @@ def partition_from_expanding_map(g: PLCircleMap,
         raise ValueError("need an expanding map of degree at least 2")
     if g.evaluate(Fraction(0)) != 0:
         raise ValueError("the map must fix 0")
-    breaks = set(g.breakpoints)
-    for b in breaks:
-        # A breakpoint lies in some pullback of 0 exactly when its forward
-        # orbit lands on 0; otherwise no amount of refinement can cover it.
-        if orbit(g, b).cycle != (Fraction(0),):
+    # A breakpoint lies in some pullback of 0 exactly when its forward orbit
+    # lands on 0; otherwise no amount of refinement can cover it.  The walks
+    # share one memo and stop at points already known to land on 0.
+    max_steps = 4096  # the default budget of ``orbit``
+    landing = {Fraction(0): 1}  # point -> length of its orbit, which ends at 0
+    for b in g.breakpoints:
+        walk, seen, current = [], set(), b
+        while current not in landing and current not in seen and len(walk) <= max_steps:
+            seen.add(current)
+            walk.append(current)
+            current = g.evaluate(current)
+        length = len(walk) + landing.get(current, 0)
+        if length > max_steps:
+            orbit(g, b, max_steps=max_steps)  # raises BudgetExceeded
+        if current not in landing:
             raise NotAVertex(
                 f"breakpoint {b} never reaches the fixed point, so pullbacks "
                 "of 0 cannot place it on a vertex",
                 point=b,
             )
+        landing.update((q, length - i) for i, q in enumerate(walk))
+    # Each branch maps [start, end) onto the lifted [lo, hi); cut at the
+    # multiples k*r, that image covers circle windows [lo - k*r, hi - k*r),
+    # whose points v pull back to (v + k*r - intercept) / slope in [0, 2r).
+    windows = []
+    for start, end, branch in g.window_pieces():
+        lo, hi = branch(start), branch(end)
+        for k in range(lo // r, -(-hi // r)):
+            windows.append((lo - k * r, hi - k * r, k * r - branch.intercept, branch.slope))
     # As 0 is fixed, g^-k(0) contains g^-(k-1)(0); each round pulls back only
-    # the points the previous round added.
-    vertices, fresh = {Fraction(0)}, {Fraction(0)}
+    # the points the previous round added, sorted so that each window finds
+    # its points by bisection.
+    breaks = set(g.breakpoints)
+    vertices, fresh = {Fraction(0)}, [Fraction(0)]
     rounds = 0
     while not breaks <= vertices:
         if rounds >= max_refinements:
@@ -380,17 +402,13 @@ def partition_from_expanding_map(g: PLCircleMap,
                 f"breakpoints not covered after {max_refinements} pullbacks",
                 limit=max_refinements,
             )
-        pulled = set()
-        for start, end, branch in g.window_pieces():
-            s, c = branch.slope, branch.intercept
-            lo, hi = branch(start), branch(end)
-            for v in fresh:
-                k = -((-(lo - v)) // r)  # smallest k with v + k*r >= lo
-                while v + k * r < hi:
-                    pulled.add(reduce_to_circle((v + k * r - c) / s, r))
-                    k += 1
-        fresh = pulled - vertices
-        vertices |= fresh
+        pulled = []
+        for a, b, offset, s in windows:
+            for v in fresh[bisect_left(fresh, a):bisect_left(fresh, b)]:
+                x = (v + offset) / s
+                pulled.append(x - r if x >= r else x)
+        fresh = sorted(x for x in pulled if x not in vertices)
+        vertices.update(fresh)
         rounds += 1
     cuts = sorted(vertices)
     gaps = [b - a for a, b in zip(cuts, cuts[1:])] + [cuts[0] + r - cuts[-1]]

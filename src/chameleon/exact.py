@@ -128,25 +128,21 @@ class NAdic:
 def to_nadic(q, n: int) -> NAdic | None:
     """Canonical base-n form of q, or None when q is outside Z[1/n]."""
     q = as_fraction(q)
-    if not is_smooth(q.denominator, n) and q.denominator != 1:
+    b = q.denominator
+    if not is_smooth(b, n):
         return None
-    if q == 0:
-        return NAdic(n, 0, 0)
-    # Find the least e with q * n**e integral, then strip surplus factors.
-    e = 0
-    scaled = q
-    while scaled.denominator != 1:
-        scaled *= n
+    # The least e with b | n**e; then q == a / n**e with n not dividing a
+    # (else b | n**(e-1) too), unless e == 0.
+    e, power = 0, 1
+    while power % b:
+        power *= n
         e += 1
-    a = scaled.numerator
-    while e > 0 and a % n == 0:
-        a //= n
-        e -= 1
-    return NAdic(n, a, e)
+    return NAdic(n, q.numerator * (power // b), e)
 
 
 def is_nadic(q, n: int) -> bool:
-    return to_nadic(q, n) is not None
+    """Whether q lies in Z[1/n]: its denominator divides a power of n."""
+    return is_smooth(as_fraction(q).denominator, n)
 
 
 def digit_class(q, n: int) -> int:

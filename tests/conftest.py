@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, settings
 from chameleon.conjugacy import partition_from_expanding_map
 from chameleon.golden import example_ids, load_example
 from chameleon.interpolate import random_dyadic_homeomorphism
-from chameleon.maps import multiplication_map
+from chameleon.maps import PLCircleMap, multiplication_map
 from chameleon.markov import AffineMarkovPartition, LevelChain, build_expanding_map
 
 settings.register_profile(
@@ -62,6 +63,42 @@ def rescaled_level_partition(
     weights = [int(gap * scale) for gap in gaps]
     shrink = gcd(*weights)
     return AffineMarkovPartition(partition.base, [w // shrink for w in weights])
+
+
+def subdivision_conjugate(seed: int, n: int, splits: int = 3):
+    """(h, g, partition) for a random conjugator h of multiplication by n.
+
+    Two random n-ary subdivisions of the circle of circumference n-1 with the
+    same number of splits give h: it maps the i-th cell of one affinely onto
+    the i-th cell of the other, so its slopes are powers of n.  The partition
+    has the power form: its cuts are the images under h of the grid one level
+    finer than every source cell, and g is its expanding map.
+    """
+    rng = random.Random(seed)
+    r = n - 1
+
+    def cells():
+        found = [(Fraction(0), 0)]  # (start, depth)
+        for _ in range(splits):
+            j = rng.randrange(len(found))
+            start, depth = found[j]
+            width = Fraction(r, n**(depth + 1))
+            found[j:j + 1] = [(start + t * width, depth + 1) for t in range(n)]
+        return found
+
+    source, target = cells(), cells()
+    h = PLCircleMap(r, 1, [x for x, _ in source],
+                    [Fraction(n)**(d - e) for (_, d), (_, e) in zip(source, target)],
+                    0)
+    k = max(d for _, d in source) + 1
+    cuts = [h.evaluate(Fraction(j, n**k)) for j in range(r * n**k)] + [r]
+    gaps = [b - a for a, b in zip(cuts, cuts[1:])]
+    scale = lcm(*(gap.denominator for gap in gaps))
+    weights = [int(gap * scale) for gap in gaps]
+    partition = AffineMarkovPartition(n, [w // gcd(*weights) for w in weights])
+    g, _ = build_expanding_map(partition)
+    assert g == h.compose(multiplication_map(n)).compose(h.invert())
+    return h, g, partition
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import subdivision_conjugate
+
 from chameleon.breaks import (
     BreakSumTable,
     OrbitMergeViolation,
     _break_sums,
+    _cut_walker,
     break_sum_table,
     coboundary_check,
     find_break_sum_discrepancy,
@@ -25,6 +28,7 @@ from chameleon.errors import (
     DivergentCycle,
     DivergentFixedPoint,
     NotPowerForm,
+    RefusalError,
 )
 from chameleon.exact import as_fraction
 from chameleon.golden import load_example
@@ -94,8 +98,20 @@ def outcome(compute):
     """A result, or a refusal as (type, message, fields), for comparison."""
     try:
         return compute()
-    except (BudgetExceeded, DivergentCycle, DivergentFixedPoint) as err:
+    except RefusalError as err:
         return type(err), str(err), vars(err)
+
+
+def break_sum_table_oracle(g, partition):
+    """The table as the Fraction walk gives it: stable-level vertex values
+    summed along the orbits of g itself."""
+    n, K = partition.base, stable_level(partition)
+    if K == 0:
+        return BreakSumTable(base=n, stable_level=0, entries=())
+    indices = [i for i in range((n - 1) * n**K) if i % n]
+    points = [vertex_value(partition, g, VertexRef(i, K)) for i in indices]
+    return BreakSumTable(base=n, stable_level=K,
+                         entries=tuple(zip(indices, _break_sums(g, points, n))))
 
 
 def merge_violations_oracle(g, partition, level):
@@ -294,6 +310,58 @@ class TestSharedWalk:
                                             for x in order]))
 
 
+class TestIndexWalk:
+    """Break sums walked on cut indices mod p, against the Fraction walk."""
+
+    @staticmethod
+    def corpus(examples, random_conjugate_factory):
+        """(partition, map) pairs: the examples, seeded random conjugates, and
+        seeded power-form conjugates in bases 2 and 3."""
+        cases = [(partition, g) for partition, g, _ in examples.values()]
+        for seed in range(20):
+            _, g, partition = random_conjugate_factory(seed)
+            cases.append((partition, g))
+        for n in (2, 3):
+            for seed in range(6):
+                _, g, partition = subdivision_conjugate(seed, n)
+                cases.append((partition, g))
+        return cases
+
+    def test_tables_and_refusals_match(self, examples, random_conjugate_factory):
+        kinds = set()
+        for partition, g in self.corpus(examples, random_conjugate_factory):
+            got = outcome(lambda: break_sum_table(g, partition))
+            assert got == outcome(lambda: break_sum_table_oracle(g, partition))
+            kinds.add(type(got) if isinstance(got, BreakSumTable) else got[0])
+        assert {BreakSumTable, NotPowerForm, DivergentFixedPoint} <= kinds
+
+    def test_sums_at_every_cut_match(self, examples, random_conjugate_factory):
+        """Every cut point, one at a time and all in one call, in power form
+        or not (the walk on Z/p needs only the map of the partition)."""
+        kinds = set()
+        for partition, g in self.corpus(examples, random_conjugate_factory):
+            n = partition.base
+            cuts = range(partition.interval_count)
+            walk = _cut_walker(g, partition)
+            for c in cuts:
+                assert (outcome(lambda: walk([c]))
+                        == outcome(lambda: _break_sums(g, [partition.endpoints[c]], n)))
+            got = outcome(lambda: _cut_walker(g, partition)(cuts))
+            assert got == outcome(lambda: _break_sums(g, partition.endpoints, n))
+            if isinstance(got, tuple):
+                kinds.add(got[0])
+        assert kinds == {DivergentFixedPoint, DivergentCycle}
+
+    def test_a_map_other_than_the_partitions_is_refused(self, examples):
+        partition, _, _ = examples["1"]
+        _, other, _ = examples["3"]
+        for g in (other, multiplication_map(2)):
+            with pytest.raises(ValueError):
+                break_sum_table(g, partition)
+            with pytest.raises(ValueError):
+                pl_criterion(g, partition)
+
+
 class TestBreakSumTable:
     @pytest.mark.parametrize("example_id", ("1", "3"))
     def test_golden_tables(self, examples, example_id):
@@ -364,6 +432,12 @@ class TestBreakSumTable:
             break_sum_table(g, partition)
         assert err.value.point == as_fraction(refusal["point"])
         assert err.value.break_value == refusal["break"]
+
+    def test_missing_entries_are_refused(self):
+        table = BreakSumTable(base=2, stable_level=2, entries=((1, 5),))
+        assert table.value_at(VertexRef(1, 2)) == 5
+        with pytest.raises(ValueError):
+            table.value_at(VertexRef(3, 2))
 
     def test_records_shape(self, examples):
         partition, g, _ = examples["1"]

@@ -338,6 +338,20 @@ class TestRoundtrip:
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
 
+    def test_pinned_report(self, capsys):
+        """The full report of the reference run, byte for byte."""
+        code, out, _ = run_cli(capsys, "roundtrip", "--seed", "3", "--count", "30")
+        assert code == 0
+        assert out == (
+            "command: roundtrip\n"
+            "input seed: 3\n"
+            "input count: 30\n"
+            "output recovered: 30/30\n"
+            "output max break count: 17\n"
+            "output max depth used: 10\n"
+            "verdict all recovered: yes\n"
+        )
+
     def test_count_validation(self, capsys):
         code, _, err = run_cli(capsys, "roundtrip", "--count", "0")
         assert code == 1

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from conftest import rescaled_level_partition
+from conftest import rescaled_level_partition, subdivision_conjugate
 
 from chameleon.conjugacy import (
     Conjugator,
@@ -34,7 +35,7 @@ from chameleon.markov import (
     PartitionLevelTable,
     build_expanding_map,
 )
-from chameleon.maps import PLCircleMap, multiplication_map
+from chameleon.maps import PLCircleMap, multiplication_map, orbit, reduce_to_circle
 
 F = Fraction
 
@@ -356,6 +357,86 @@ class TestImageStatus:
         assert report.subset_holds
         assert report.counterexample is None
         assert not report.equality_refuted
+
+
+def recovery_oracle(g, max_refinements=20):
+    """Partition recovery as it stood before the sorted pullback: an orbit
+    per breakpoint, in order, then each fresh point pulled back through each
+    branch by floor division."""
+    r, n = g.circumference, g.degree
+    for b in g.breakpoints:
+        if orbit(g, b).cycle != (F(0),):
+            raise NotAVertex(
+                f"breakpoint {b} never reaches the fixed point, so pullbacks "
+                "of 0 cannot place it on a vertex",
+                point=b,
+            )
+    vertices, fresh = {F(0)}, {F(0)}
+    rounds = 0
+    while not set(g.breakpoints) <= vertices:
+        if rounds >= max_refinements:
+            raise BudgetExceeded(
+                f"breakpoints not covered after {max_refinements} pullbacks",
+                limit=max_refinements,
+            )
+        pulled = set()
+        for start, end, branch in g.window_pieces():
+            s, c = branch.slope, branch.intercept
+            lo, hi = branch(start), branch(end)
+            for v in fresh:
+                k = -((-(lo - v)) // r)  # smallest k with v + k*r >= lo
+                while v + k * r < hi:
+                    pulled.add(reduce_to_circle((v + k * r - c) / s, r))
+                    k += 1
+        fresh = pulled - vertices
+        vertices |= fresh
+        rounds += 1
+    cuts = sorted(vertices)
+    gaps = [b - a for a, b in zip(cuts, cuts[1:])] + [cuts[0] + r - cuts[-1]]
+    scale = lcm(*(gap.denominator for gap in gaps))
+    weights = [int(gap * scale) for gap in gaps]
+    unit = gcd(*weights)
+    return AffineMarkovPartition(n, [w // unit for w in weights])
+
+
+def recovery_outcome(compute):
+    """A partition, or a refusal as (type, message, fields)."""
+    try:
+        return compute()
+    except (BudgetExceeded, NotAVertex) as err:
+        return type(err), str(err), vars(err)
+
+
+class TestRecoveryAgainstOracle:
+    @pytest.mark.parametrize("example_id", ("1", "3", "4"))
+    def test_examples(self, examples, example_id):
+        _, g, _ = examples[example_id]
+        assert partition_from_expanding_map(g) == recovery_oracle(g)
+
+    @pytest.mark.parametrize("example_id", ("2", "5"))
+    def test_refused_examples_name_the_same_breakpoint(self, examples, example_id):
+        _, g, _ = examples[example_id]
+        got = recovery_outcome(lambda: partition_from_expanding_map(g))
+        assert got[0] is NotAVertex
+        assert got == recovery_outcome(lambda: recovery_oracle(g))
+        assert got[2]["point"] == min(
+            b for b in g.breakpoints if orbit(g, b).cycle != (F(0),))
+
+    def test_random_conjugates(self, random_conjugate_factory):
+        """Seeded random conjugates, in base 2 from random dyadic maps and in
+        bases 2 and 3 from random subdivisions."""
+        maps = [random_conjugate_factory(seed)[1] for seed in range(20)]
+        for n in (2, 3):
+            maps += [subdivision_conjugate(seed, n)[1] for seed in range(6)]
+        for g in maps:
+            assert partition_from_expanding_map(g) == recovery_oracle(g)
+
+    @pytest.mark.parametrize("example_id", ("1", "3"))
+    def test_refinement_budget(self, examples, example_id):
+        _, g, _ = examples[example_id]
+        for budget in range(0, 6):
+            assert (recovery_outcome(lambda: partition_from_expanding_map(g, budget))
+                    == recovery_outcome(lambda: recovery_oracle(g, budget)))
 
 
 class TestPartitionRecovery:

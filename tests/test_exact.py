@@ -29,6 +29,24 @@ from chameleon.exact import (
 BASES = (2, 3, 5, 10)
 
 
+def to_nadic_oracle(q, n: int):
+    """The Fraction loop to_nadic replaced: scale by n until integral, then
+    strip surplus factors of n."""
+    if not is_smooth(q.denominator, n):
+        return None
+    if q == 0:
+        return NAdic(n, 0, 0)
+    e, scaled = 0, q
+    while scaled.denominator != 1:
+        scaled *= n
+        e += 1
+    a = scaled.numerator
+    while e > 0 and a % n == 0:
+        a //= n
+        e -= 1
+    return NAdic(n, a, e)
+
+
 def lattice_points(n: int, max_mantissa: int = 400, max_exponent: int = 6):
     """Strategy over the ring generated by 1/n (signed, unreduced inputs)."""
     return st.builds(
@@ -149,6 +167,16 @@ class TestNAdicForm:
     def test_to_nadic_off_lattice(self, q, n):
         assert to_nadic(q, n) is None
         assert not is_nadic(q, n)
+
+    @pytest.mark.parametrize("n", BASES + (4, 6, 12))
+    @given(numerator=st.integers(-10**6, 10**6),
+           denominator=st.integers(1, 10**6) | st.builds(
+               lambda a, e: a * 6**e, st.integers(1, 40), st.integers(0, 8)))
+    def test_to_nadic_matches_the_fraction_loop(self, n, numerator, denominator):
+        q = Fraction(numerator, denominator)
+        expected = to_nadic_oracle(q, n)
+        assert to_nadic(q, n) == expected
+        assert is_nadic(q, n) is (expected is not None)
 
     def test_nadic_validates_canonical_form(self):
         with pytest.raises(ValueError):
