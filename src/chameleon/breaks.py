@@ -34,7 +34,6 @@ from .maps import (
 )
 from .markov import (
     AffineMarkovPartition,
-    LevelChain,
     VertexRef,
     build_expanding_map,
     reduce_ref,
@@ -251,8 +250,7 @@ def orbit_merge_violations(g: PLCircleMap, P: AffineMarkovPartition,
     n = P.base
     # Level 0 holds the cut points, or the n - 1 grid points in power form.
     count = P.interval_count if P.power_exponent is None else n - 1
-    chain = LevelChain(P, g)
-    points = [vertex_value(P, g, VertexRef(i, level_bound), chain)
+    points = [vertex_value(P, g, VertexRef(i, level_bound))
               for i in range(count * n**level_bound)]
     walks = [orbit(g, x).points for x in points]
     firsts = [{q: j for j, q in enumerate(w)} for w in walks]
@@ -413,8 +411,7 @@ class Discrepancy:
 def find_break_sum_discrepancy(g: PLCircleMap, P: AffineMarkovPartition,
                                left: VertexRef, right: VertexRef,
                                pad: int = 1,
-                               table: Optional[BreakSumTable] = None,
-                               chain: Optional[LevelChain] = None
+                               table: Optional[BreakSumTable] = None
                                ) -> Optional[Discrepancy]:
     """Search the stable-level offsets for a break-sum disagreement between
     the deep vertices just after ``left`` and those just after ``right``.
@@ -449,7 +446,7 @@ def find_break_sum_discrepancy(g: PLCircleMap, P: AffineMarkovPartition,
         if va != vb:
             return Discrepancy(
                 offset=i,
-                point=vertex_value(P, g, left_ref, chain),
+                point=vertex_value(P, g, left_ref),
                 left_value=va, right_value=vb,
             )
     return None

@@ -29,11 +29,13 @@ from .errors import (
     ParseError,
     ReconstructionMismatch,
 )
-from .exact import as_fraction, is_nadic, is_smooth, to_nadic
+from .exact import as_fraction, is_nadic, to_nadic
 from .maps import PLCircleMap, multiplication_map, orbit, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
     LevelChain,
+    _descend,
+    _table_budget,
     build_expanding_map,
 )
 
@@ -136,41 +138,37 @@ class Conjugator:
         """
         n, p, r = self.base, self.interval_count, self.circumference
         q = reduce_to_circle(as_fraction(q), r)
-        scaled = q * p / r
-        if not is_smooth(scaled.denominator, n):
+        grid = to_nadic(q * p / r, n)  # source index over n**depth
+        if grid is None:
             raise FixedPointsNotVertices(
                 f"{q} is never a source grid point for {p} intervals on "
                 f"circumference {r}"
             )
-        depth = 0
-        while (scaled * n**depth).denominator != 1:
-            depth += 1
-        index = int(scaled * n**depth)
-        while depth > 0 and index % n == 0:
-            index //= n
-            depth -= 1
-        if depth > self.max_depth:
+        if grid.exponent > self.max_depth:
             raise BudgetExceeded(
-                f"grid point {q} first appears at depth {depth}, budget is "
+                f"grid point {q} first appears at depth {grid.exponent}, budget is "
                 f"{self.max_depth}",
                 limit=self.max_depth,
             )
-        if depth == 0:
-            return self.partition.endpoints[index]
-        return self.chain.table(depth).values[index]
+        return _descend(self.partition, grid.mantissa, grid.exponent)
 
     def inverse_value(self, x) -> Fraction:
         """The source grid point mapped to a vertex x, searching all depths
-        within budget; refuses with NotAVertex otherwise."""
+        within budget; refuses with NotAVertex otherwise.  Each step of g
+        lowers the depth by one, and its lift's laps past r are the source
+        index's base-n digits."""
         n, p, r = self.base, self.interval_count, self.circumference
         x = reduce_to_circle(as_fraction(x), r)
         if not is_nadic(x, n):
             raise NotAVertex(f"{x} is not a base-{n} fraction, so not a vertex",
                              point=x)
+        cuts = {e: j for j, e in enumerate(self.partition.endpoints)}
+        digits, y = 0, x
         for depth in range(self.max_depth + 1):
-            idx = self.chain.table(depth).index_of(x)
-            if idx is not None:
-                return Fraction(r * idx, p * n**depth)
+            if y in cuts:
+                return Fraction(r * (p * digits + cuts[y]), p * n**depth)
+            w, y = divmod(self.map.lift_value(y), r)
+            digits = n * digits + w
         raise NotAVertex(
             f"{x} is not a vertex at any depth up to {self.max_depth}", point=x
         )
@@ -187,13 +185,11 @@ class Conjugator:
         for depth in range(self.max_depth + 1):
             count = p * n**depth
             index = (q * count / r).__floor__()
-            table = self.chain.table(depth)
-            lo = table.values[index]
-            hi = table.values[index + 1] if index + 1 < count else Fraction(r)
             best = Enclosure(
                 depth=depth,
                 source=(Fraction(r * index, count), Fraction(r * (index + 1), count)),
-                image=(lo, hi),
+                image=(_descend(self.partition, index, depth),
+                       _descend(self.partition, index + 1, depth)),
             )
             if best.width <= width:
                 return best
@@ -209,6 +205,7 @@ class Conjugator:
         cached table up to the given depth."""
         if depth < 0:
             raise ValueError("check depth must be nonnegative")
+        _table_budget(self.partition, depth)
         n = self.base
         for t in range(depth + 1):
             table = self.chain.table(t)
@@ -320,6 +317,7 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
     multiplication is).
     """
     n, p, r = conj.base, conj.interval_count, conj.circumference
+    _table_budget(conj.partition, depth)
     subset_holds = True
     counterexample = None
     for t in range(depth + 1):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
+    BudgetExceeded,
     ClassMismatch,
     EndpointNotNAdic,
     NotMarkov,
@@ -216,14 +217,6 @@ class PartitionLevelTable:
             return self.circumference + vals[0] - vals[i]
         return vals[i + 1] - vals[i]
 
-    def index_of(self, x: Fraction) -> Optional[int]:
-        from bisect import bisect_left
-
-        i = bisect_left(self.values, x)
-        if i < len(self.values) and self.values[i] == x:
-            return i
-        return None
-
 
 def standard_level_table(n: int, k: int) -> PartitionLevelTable:
     """Vertices i/n^k of the uniform base-n grid on the circle [0, n-1)."""
@@ -276,8 +269,26 @@ def derive(table: PartitionLevelTable, g: PLCircleMap) -> PartitionLevelTable:
                                circumference=r)
 
 
+MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
+
+
+def _table_budget(P: AffineMarkovPartition, depth: int) -> None:
+    """Refuse with BudgetExceeded a level of more than MAX_TABLE_VERTICES."""
+    count = P.interval_count * P.base**depth
+    if count > MAX_TABLE_VERTICES:
+        raise BudgetExceeded(
+            f"level {depth} has {count} vertices, budget is {MAX_TABLE_VERTICES}",
+            limit=MAX_TABLE_VERTICES,
+        )
+
+
 class LevelChain:
-    """Lazily derived tower of vertex tables for one partition's map."""
+    """Lazily derived tower of vertex tables for one partition's map.
+
+    Only whole-level enumerations need it; single vertices come from the
+    inverse-branch descent of ``vertex_value``.  Levels past the vertex
+    budget are refused before anything is derived.
+    """
 
     def __init__(self, partition: AffineMarkovPartition,
                  g: Optional[PLCircleMap] = None):
@@ -295,6 +306,7 @@ class LevelChain:
     def table(self, depth: int) -> PartitionLevelTable:
         if depth < 0:
             raise ValueError("refinement depth must be nonnegative")
+        _table_budget(self.partition, depth)
         with self._lock:
             while len(self._tables) <= depth:
                 self._tables.append(derive(self._tables[-1], self.map))
@@ -338,60 +350,65 @@ def fixed_point_class(ref: VertexRef, n: int) -> int:
     return reduce_ref(ref, n).index % (n - 1)
 
 
-def vertex_value(P: AffineMarkovPartition, g: PLCircleMap, ref: VertexRef,
-                 chain: Optional[LevelChain] = None) -> Fraction:
+def _descend(P: AffineMarkovPartition, index: int, depth: int) -> Fraction:
+    """The conjugator at lifted source grid index ``index`` of ``depth``.
+
+    The conjugator h sends source interval i onto cut interval i, and its lift
+    satisfies h(n*q) = G(h(q)), where the lift G of the partition's map is
+    affine with slope s_i on cut interval i and sends cut i to lifted cut n*i,
+    that is e[n*i mod p] + r*floor(n*i/p).  So each level is one inverse
+    branch, and index p*n^depth gives r.
+    """
+    n, p, r, e = P.base, P.interval_count, P.circumference, P.endpoints
+    wraps, index = divmod(index, p * n**depth)
+    branches = []
+    for k in range(depth, 0, -1):
+        # n*q has the same index one level up, lifted past r by w.
+        i = index // n**k
+        w, index = divmod(index, p * n**(k - 1))
+        branches.append((i, w - n * i // p))
+    x = e[index]
+    for i, w in reversed(branches):
+        x = e[i] + (x + w * r - e[n * i % p]) / P.slopes[i]
+    return x + wraps * r
+
+
+def _source_index(P: AffineMarkovPartition, index: int, level: int) -> tuple[int, int]:
+    """Source grid (index, depth) of vertex ``index`` at ``level``: power-form
+    levels count from the base grid, whose level m holds the cut points."""
+    m = P.power_exponent or 0
+    return index * P.base**max(m - level, 0), max(level - m, 0)
+
+
+def vertex_value(P: AffineMarkovPartition, g: PLCircleMap, ref: VertexRef) -> Fraction:
     """The circle point a vertex reference names.
 
     For power-form partitions, level k indexes the (base-1)*n^k vertices of
     the k-th refinement of the base grid: levels up to the power exponent
-    stride through the cut points, deeper levels read derived tables.  For
-    other partitions, level counts derivations from the cut points directly.
+    stride through the cut points.  For other partitions, level counts
+    refinements of the cut points directly.  The value is read off P by
+    inverse-branch descent; ``g``, the map P builds, is not consulted.
     """
     n = P.base
     ref = reduce_ref(ref, n)
     i, k = ref.index, ref.level
-    m = P.power_exponent
-    if m is not None:
+    if P.is_power_form:
         if i >= (n - 1) * n**k:
             raise ValueError(f"index {i} out of range for level {k}")
-        if k <= m:
-            return P.endpoints[i * n**(m - k)]
-        depth = k - m
-    else:
-        if i >= P.interval_count * n**k:
-            raise ValueError(f"index {i} out of range for depth {k}")
-        if k == 0:
-            return P.endpoints[i]
-        depth = k
-    if chain is None:
-        chain = LevelChain(P, g)
-    return chain.table(depth).values[i]
+    elif i >= P.interval_count * n**k:
+        raise ValueError(f"index {i} out of range for depth {k}")
+    return _descend(P, *_source_index(P, i, k))
 
 
 def interval_length_at(P: AffineMarkovPartition, g: PLCircleMap, level: int,
-                       index: int, chain: Optional[LevelChain] = None) -> Fraction:
-    """Length of the level interval starting at the given vertex index."""
+                       index: int) -> Fraction:
+    """Length of the level interval starting at the given vertex index, which
+    is taken modulo the level's vertex count; read off P like vertex_value."""
     if level < 0:
         raise ValueError("refinement level must be nonnegative")
-    n = P.base
-    m = P.power_exponent
-    if m is not None:
-        count = (n - 1) * n**level
-        index %= count
-        if level <= m:
-            stride = n**(m - level)
-            lo = P.endpoints[index * stride]
-            if index == count - 1:
-                return P.circumference - lo
-            return P.endpoints[(index + 1) * stride] - lo
-        depth = level - m
-    else:
-        if level == 0:
-            return P.interval_length(index)
-        depth = level
-    if chain is None:
-        chain = LevelChain(P, g)
-    return chain.table(depth).interval_length(index)
+    start, depth = _source_index(P, index, level)
+    end, _ = _source_index(P, index + 1, level)
+    return _descend(P, end, depth) - _descend(P, start, depth)
 
 
 def stable_level(P: AffineMarkovPartition) -> int:
@@ -416,7 +433,7 @@ def stable_level(P: AffineMarkovPartition) -> int:
 
 
 def natural_slope(P: AffineMarkovPartition, g: PLCircleMap, a: VertexRef,
-                  c: VertexRef, chain: Optional[LevelChain] = None) -> Fraction:
+                  c: VertexRef) -> Fraction:
     """Ratio of stable-level interval lengths at two vertices of one grid
     class — the derivative the partition's conjugator must have if it moves
     vertex a to vertex c."""
@@ -432,8 +449,6 @@ def natural_slope(P: AffineMarkovPartition, g: PLCircleMap, a: VertexRef,
             f"vertices lie in different grid classes {ca} and {cc} mod {n - 1}",
             left=ca, right=cc,
         )
-    if chain is None:
-        chain = LevelChain(P, g)
-    la = interval_length_at(P, g, a.level + K, a.index * n**K, chain)
-    lc = interval_length_at(P, g, c.level + K, c.index * n**K, chain)
+    la = interval_length_at(P, g, a.level + K, a.index * n**K)
+    lc = interval_length_at(P, g, c.level + K, c.index * n**K)
     return lc / la

@@ -44,7 +44,6 @@ from chameleon.maps import (
     sum_of_breaks,
 )
 from chameleon.markov import (
-    LevelChain,
     VertexRef,
     stable_level,
     vertex_value,
@@ -100,8 +99,7 @@ def level_vertices(partition, g, level):
         span = (n - 1) * n**level
     else:
         span = partition.interval_count * n**level
-    chain = LevelChain(partition, g)
-    return [vertex_value(partition, g, VertexRef(i, level), chain)
+    return [vertex_value(partition, g, VertexRef(i, level))
             for i in range(span)]
 
 
@@ -308,7 +306,6 @@ def test_criterion_09(examples, random_conjugate_factory):
                    f"law violations at length {length}")
 
         partition, g, _ = examples["1"]
-        chain = LevelChain(partition, g)
         table = break_sum_table(g, partition)
         K = table.stable_level
         anchors = [VertexRef(i, level)
@@ -319,7 +316,7 @@ def test_criterion_09(examples, random_conjugate_factory):
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
                         g, partition, left, right, pad=pad,
-                        table=table, chain=chain)
+                        table=table)
                     if hit is None or hit.left_value == hit.right_value:
                         missed += 1
         expect(bad, missed == 0,
@@ -327,7 +324,6 @@ def test_criterion_09(examples, random_conjugate_factory):
 
         for seed in (0, 1, 2):
             _, g2, partition2 = random_conjugate_factory(seed)
-            chain2 = LevelChain(partition2, g2)
             table2 = break_sum_table(g2, partition2)
             expect(bad, table2.is_constant, f"round trip {seed} not constant")
             K2 = table2.stable_level
@@ -335,7 +331,7 @@ def test_criterion_09(examples, random_conjugate_factory):
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
                         g2, partition2, left, left, pad=pad,
-                        table=table2, chain=chain2)
+                        table=table2)
                     expect(bad, hit is None,
                            f"spurious discrepancy on round trip {seed}")
 

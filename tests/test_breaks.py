@@ -54,8 +54,7 @@ def vertices_at_level(partition, g, level):
         span = (n - 1) * n**level
     else:
         span = partition.interval_count * n**level
-    chain = LevelChain(partition, g)
-    return [vertex_value(partition, g, VertexRef(i, level), chain)
+    return [vertex_value(partition, g, VertexRef(i, level))
             for i in range(span)]
 
 
@@ -174,9 +173,8 @@ class TestIteratedSums:
         partition, g, _ = examples[example_id]
         record = load_example(example_id)
         K = record["stable_level"]
-        chain = LevelChain(partition, g)
         got = [
-            iterated_break_sum(g, vertex_value(partition, g, VertexRef(i, K), chain))
+            iterated_break_sum(g, vertex_value(partition, g, VertexRef(i, K)))
             for i in range(1, 2**K, 2)
         ]
         assert got == record["sigma"]
@@ -389,7 +387,6 @@ class TestBreakSumTable:
         """The table's answer at every vertex of natural level at least the
         stable level must equal the sum computed directly at that point."""
         partition, g, _ = examples[example_id]
-        chain = LevelChain(partition, g)
         table = break_sum_table(g, partition)
         K = table.stable_level
         for level in range(K, K + 3):
@@ -397,7 +394,7 @@ class TestBreakSumTable:
                 ref = reduce_ref(VertexRef(i, level), 2)
                 if ref.level < K:
                     continue
-                x = vertex_value(partition, g, ref, chain)
+                x = vertex_value(partition, g, ref)
                 assert table.value_at(ref) == iterated_break_sum(g, x)
 
     def test_aliases_share_a_value(self, examples):
@@ -659,7 +656,6 @@ class TestPLCriterion:
 class TestDiscrepancySearch:
     def test_example_one_sampled_anchors(self, examples):
         partition, g, _ = examples["1"]
-        chain = LevelChain(partition, g)
         table = break_sum_table(g, partition)
         K = table.stable_level
         rng = random.Random(4)
@@ -670,7 +666,7 @@ class TestDiscrepancySearch:
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
                         g, partition, left, right, pad=pad,
-                        table=table, chain=chain)
+                        table=table)
                     assert hit is not None
                     assert 1 <= hit.offset < 2**K
                     assert hit.left_value != hit.right_value
@@ -681,8 +677,8 @@ class TestDiscrepancySearch:
                     deep_right = VertexRef(
                         right.index * (span << pad) + hit.offset,
                         right.level + K + pad)
-                    xl = vertex_value(partition, g, deep_left, chain)
-                    xr = vertex_value(partition, g, deep_right, chain)
+                    xl = vertex_value(partition, g, deep_left)
+                    xr = vertex_value(partition, g, deep_right)
                     assert iterated_break_sum(g, xl) == hit.left_value
                     assert iterated_break_sum(g, xr) == hit.right_value
                     assert hit.point == xl
@@ -699,7 +695,6 @@ class TestDiscrepancySearch:
     def test_constant_tables_never_yield(self, random_conjugate_factory):
         for seed in (1, 6):
             _, g, partition = random_conjugate_factory(seed)
-            chain = LevelChain(partition, g)
             table = break_sum_table(g, partition)
             assert table.is_constant
             K = table.stable_level
@@ -708,7 +703,7 @@ class TestDiscrepancySearch:
             for pad in (1, 2):
                 assert find_break_sum_discrepancy(
                     g, partition, left, right, pad=pad,
-                    table=table, chain=chain) is None
+                    table=table) is None
 
     def test_uniform_partition_is_trivially_clean(self):
         partition = AffineMarkovPartition(2, [1, 1])

@@ -131,6 +131,27 @@ class TestConjugatorEval:
         assert "output source point: 1/6" in out
         assert "verdict in lattice: no" in out
 
+    def test_pinned_deep_query(self, capsys, partition_file):
+        path = partition_file("1")
+        code, out, _ = run_cli(
+            capsys, "partition", "conjugator-eval", path, "--point", "12345/65536")
+        assert code == 0
+        assert "output image: 57465/262144\n" in out
+        code, out, _ = run_cli(
+            capsys, "partition", "conjugator-eval", path, "--inverse",
+            "--point", "57465/262144")
+        assert code == 0
+        assert "output source point: 12345/65536\n" in out
+
+    def test_pinned_inverse_refusal(self, capsys, partition_file):
+        code, out, err = run_cli(
+            capsys, "partition", "conjugator-eval", partition_file("1"), "--inverse",
+            "--point", "1/1048576", "--depth", "12")
+        assert code == 2
+        assert out == ""
+        assert err == ("refused: NotAVertex: 1/1048576 is not a vertex at any depth "
+                       "up to 12\n")
+
     def test_point_is_required(self, capsys, partition_file):
         code, _, err = run_cli(
             capsys, "partition", "conjugator-eval", partition_file("2"))
@@ -239,6 +260,14 @@ class TestDyadicStatus:
             "--depth", "6")
         assert code == 0
         assert "input depth: 6" in out
+
+    def test_vertex_budget_is_a_refusal(self, capsys, partition_file, monkeypatch):
+        monkeypatch.setattr("chameleon.markov.MAX_TABLE_VERTICES", 64)
+        code, out, err = run_cli(
+            capsys, "partition", "dyadic-status", partition_file("1"), "--depth", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "refused: BudgetExceeded: level 3 has 128 vertices, budget is 64\n"
 
     def test_negative_depth_flag_is_an_input_error(self, capsys, partition_file):
         code, out, err = run_cli(

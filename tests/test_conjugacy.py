@@ -7,9 +7,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rescaled_level_partition, subdivision_conjugate
 
+from chameleon import markov
 from chameleon.conjugacy import (
     Conjugator,
     equal_pairs,
@@ -33,7 +36,10 @@ from chameleon.markov import (
     AffineMarkovPartition,
     LevelChain,
     PartitionLevelTable,
+    VertexRef,
     build_expanding_map,
+    interval_length_at,
+    vertex_value,
 )
 from chameleon.maps import PLCircleMap, multiplication_map, orbit, reduce_to_circle
 
@@ -203,6 +209,144 @@ class TestConjugacyLaw:
         partition, _, _ = examples["1"]
         with pytest.raises(ValueError):
             Conjugator(partition).check(-1)
+
+
+DESCENT_DEPTH = 6
+DESCENT_CORPUS = (
+    *(f"example {i}" for i in example_ids()),
+    *(f"factory {seed}" for seed in range(4)),
+    *(f"subdivision {n} {seed}" for n in (2, 3) for seed in range(2)),
+    # p = n - 1: a branch covers the circle more than once.
+    "uniform 2", "uniform 3", "uniform 4",
+)
+
+
+@pytest.fixture(scope="module")
+def descent_corpus(examples, random_conjugate_factory):
+    """key -> (partition, LevelChain): the tables are the descent's oracle."""
+    corpus = {}
+    for key in DESCENT_CORPUS:
+        kind, *args = key.split()
+        if kind == "example":
+            partition = examples[args[0]][0]
+        elif kind == "factory":
+            partition = random_conjugate_factory(int(args[0]))[2]
+        elif kind == "subdivision":
+            partition = subdivision_conjugate(int(args[1]), int(args[0]))[2]
+        else:
+            n = int(args[0])
+            partition = AffineMarkovPartition(n, [1] * (n - 1))
+        corpus[key] = (partition, LevelChain(partition))
+    return corpus
+
+
+def enclosure_oracle(chain, q, width, max_depth):
+    """The first table bracket around q of at most the width, as
+    (depth, source, image), or None within the depth budget."""
+    P = chain.partition
+    p, n, r = P.interval_count, P.base, P.circumference
+    for depth in range(max_depth + 1):
+        count = p * n**depth
+        k = (q * count / r).__floor__()
+        values = chain.table(depth).values
+        lo, hi = values[k], values[k + 1] if k + 1 < count else F(r)
+        if hi - lo <= width:
+            return depth, (F(r * k, count), F(r * (k + 1), count)), (lo, hi)
+    return None
+
+
+class TestDescentAgainstTables:
+    """Single-vertex reads descend inverse branches; the level tables that
+    ``LevelChain`` derives are the oracle."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_single_reads_match_the_tables(self, descent_corpus, data):
+        key = data.draw(st.sampled_from(DESCENT_CORPUS), label="partition")
+        partition, chain = descent_corpus[key]
+        n, p, r = partition.base, partition.interval_count, partition.circumference
+        depth = data.draw(st.integers(0, DESCENT_DEPTH), label="depth")
+        count = p * n**depth
+        index = data.draw(st.integers(0, count - 1), label="index")
+        table = chain.table(depth)
+        value = table.values[index]
+        conj = Conjugator(partition, max_depth=depth)
+        source = conj.source_vertex(index, depth)
+        assert conj.evaluate(source) == value
+        assert conj.inverse_value(value) == source
+        if depth > 0 and index % n:
+            with pytest.raises(NotAVertex) as info:
+                Conjugator(partition, max_depth=depth - 1).inverse_value(value)
+            assert info.value.point == value
+            assert str(info.value).startswith(f"{value} is not a vertex")
+        level = depth + (partition.power_exponent or 0)
+        assert vertex_value(partition, conj.map, VertexRef(index, level)) == value
+        length = table.interval_length(index)
+        assert interval_length_at(partition, conj.map, level, index) == length
+        assert interval_length_at(partition, conj.map, level, index + count) == length
+        q = source + F(r * data.draw(st.integers(0, 6), label="offset"), 7 * count)
+        width = length * data.draw(st.sampled_from((F(1, 2), F(1), F(3))), label="scale")
+        want = enclosure_oracle(chain, q, width, depth)
+        if want is None:
+            with pytest.raises(BudgetExceeded):
+                conj.enclosure(q, width)
+        else:
+            got = conj.enclosure(q, width)
+            assert (got.depth, got.source, got.image) == want
+
+    @pytest.mark.parametrize("key", DESCENT_CORPUS)
+    def test_every_table_vertex_round_trips(self, descent_corpus, key):
+        partition, chain = descent_corpus[key]
+        n, p = partition.base, partition.interval_count
+        depth = max(d for d in range(DESCENT_DEPTH + 1) if p * n**d <= 2048 or d == 0)
+        conj = Conjugator(partition, max_depth=depth)
+        for index, value in enumerate(chain.table(depth).values):
+            source = conj.source_vertex(index, depth)
+            assert conj.evaluate(source) == value
+            assert conj.inverse_value(value) == source
+
+    def test_deep_queries_derive_no_table(self, examples):
+        partition, _, _ = examples["1"]
+        conj = Conjugator(partition)
+        point, after = F(12345, 65536), F(12346, 65536)
+        image = conj.evaluate(point)
+        assert conj.inverse_value(image) == point
+        enclosure = conj.enclosure(point + F(1, 3 * 65536), conj.evaluate(after) - image)
+        assert enclosure.depth == 12
+        assert enclosure.source == (point, after)
+        assert len(conj.chain._tables) == 1
+
+
+class TestVertexBudget:
+    def test_check_refuses_levels_past_the_budget(self, examples, monkeypatch):
+        partition, _, _ = examples["1"]  # 16 intervals, base 2
+        monkeypatch.setattr(markov, "MAX_TABLE_VERTICES", 64)
+        conj = Conjugator(partition)
+        with pytest.raises(BudgetExceeded) as info:
+            conj.check(3)
+        assert info.value.limit == 64
+        assert len(conj.chain._tables) == 1  # refused before any work
+        assert conj.check(2).passed
+        with pytest.raises(BudgetExceeded):
+            conj.chain.table(3)
+        assert len(conj.chain._tables) == 3
+
+    def test_image_status_refuses_levels_past_the_budget(self, examples, monkeypatch):
+        partition, _, _ = examples["2"]  # 6 intervals, base 2
+        monkeypatch.setattr(markov, "MAX_TABLE_VERTICES", 48)
+        conj = Conjugator(partition)
+        with pytest.raises(BudgetExceeded) as info:
+            nadic_image_status(conj, 4)
+        assert info.value.limit == 48
+        assert len(conj.chain._tables) == 1
+        assert nadic_image_status(conj, 3).depth == 3
+
+    def test_single_queries_ignore_the_budget(self, examples, monkeypatch):
+        partition, _, _ = examples["1"]
+        monkeypatch.setattr(markov, "MAX_TABLE_VERTICES", 1)
+        conj = Conjugator(partition)
+        assert conj.evaluate(F(12345, 65536)) == F(57465, 262144)
+        assert conj.inverse_value(F(57465, 262144)) == F(12345, 65536)
 
 
 class TestEqualPairsAndExtraction:

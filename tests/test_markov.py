@@ -206,13 +206,6 @@ class TestLevelTables:
         with pytest.raises(NotMarkov):
             derive(table, g4)
 
-    def test_index_of_finds_vertices(self, examples):
-        partition, g, _ = examples["1"]
-        table = LevelChain(partition, g).table(1)
-        for index, value in enumerate(table.values):
-            assert table.index_of(value) == index
-        assert table.index_of(F(1, 2**9)) is None
-
     def test_chain_is_thread_safe(self, examples):
         partition, g, _ = examples["3"]
         chain = LevelChain(partition, g)
@@ -263,7 +256,6 @@ class TestVertexAlgebra:
     @pytest.mark.parametrize("example_id", POWER_FORM_IDS)
     def test_alias_law(self, examples, example_id):
         partition, g, _ = examples[example_id]
-        chain = LevelChain(partition, g)
         n = partition.base
         rng = random.Random(17)
         for _ in range(40):
@@ -271,21 +263,20 @@ class TestVertexAlgebra:
             index = rng.randrange(0, (n - 1) * n**level)
             ref = VertexRef(index, level)
             deeper = VertexRef(index * n, level + 1)
-            assert vertex_value(partition, g, ref, chain) == vertex_value(
-                partition, g, deeper, chain
+            assert vertex_value(partition, g, ref) == vertex_value(
+                partition, g, deeper
             )
 
     @pytest.mark.parametrize("example_id", POWER_FORM_IDS)
     def test_vertex_orbit_law_beyond_the_power_level(self, examples, example_id):
         partition, g, _ = examples[example_id]
-        chain = LevelChain(partition, g)
         n, m = partition.base, partition.power_exponent
         for level in range(0, m + 3):
             count = (n - 1) * n**level
             for index in range(count):
-                value = vertex_value(partition, g, VertexRef(index, level), chain)
+                value = vertex_value(partition, g, VertexRef(index, level))
                 image = vertex_value(
-                    partition, g, VertexRef((n * index) % count, level), chain
+                    partition, g, VertexRef((n * index) % count, level)
                 )
                 assert g.evaluate(value) == image
 
@@ -306,7 +297,6 @@ class TestLengthRatios:
         n = partition.base
         K = stable_level(partition)
         modulus = (n - 1) * n**K
-        chain = LevelChain(partition, g)
         rng = random.Random(19)
         for _ in range(60):
             s = rng.randrange(K, K + 3)
@@ -315,8 +305,8 @@ class TestLengthRatios:
             j = rng.randrange(0, ((n - 1) * n**t) // modulus) * modulus + (
                 i % modulus
             )
-            ratio = interval_length_at(partition, g, s, i, chain) / interval_length_at(
-                partition, g, t, j, chain
+            ratio = interval_length_at(partition, g, s, i) / interval_length_at(
+                partition, g, t, j
             )
             assert power_exponent(ratio, n) is not None, (s, i, t, j, ratio)
 
@@ -328,7 +318,7 @@ class TestLengthRatios:
             table = chain.table(depth)
             for index in range(len(table.values)):
                 assert (
-                    interval_length_at(partition, g, m + depth, index, chain)
+                    interval_length_at(partition, g, m + depth, index)
                     == table.interval_length(index)
                 )
 
@@ -347,17 +337,16 @@ class TestNaturalSlope:
 
     def test_reflexive_and_reciprocal(self, examples):
         partition, g, _ = examples["3"]
-        chain = LevelChain(partition, g)
         rng = random.Random(23)
         for _ in range(20):
             level_a = rng.randrange(4, 7)
             level_c = rng.randrange(4, 7)
             a = VertexRef(rng.randrange(0, 2 ** (level_a - 1)) * 2 + 1, level_a)
             c = VertexRef(rng.randrange(0, 2 ** (level_c - 1)) * 2 + 1, level_c)
-            forward = natural_slope(partition, g, a, c, chain)
-            backward = natural_slope(partition, g, c, a, chain)
+            forward = natural_slope(partition, g, a, c)
+            backward = natural_slope(partition, g, c, a)
             assert forward * backward == 1
-            assert natural_slope(partition, g, a, a, chain) == 1
+            assert natural_slope(partition, g, a, a) == 1
             assert power_exponent(forward, 2) is not None
 
     def test_class_mismatch_refused(self):
