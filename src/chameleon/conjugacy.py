@@ -35,7 +35,7 @@ from .markov import (
     AffineMarkovPartition,
     LevelChain,
     _descend,
-    _table_budget,
+    _law_witness,
     build_expanding_map,
 )
 
@@ -122,7 +122,7 @@ class Conjugator:
         self.circumference = partition.circumference
         self.interval_count = partition.interval_count
         self.max_depth = default_memo_depth() if max_depth is None else max_depth
-        self.chain = LevelChain(partition, g)
+        self.chain = LevelChain(partition)
 
     def source_vertex(self, index: int, depth: int) -> Fraction:
         """The source-circle grid point paired with vertex (index, depth)."""
@@ -201,21 +201,15 @@ class Conjugator:
         )
 
     def check(self, depth: int) -> ConjugacyCheck:
-        """Verify the vertex permutation law g(T[N]) = T[n*N mod M] for every
-        cached table up to the given depth."""
+        """Verify the vertex permutation law g(T[N]) = T[n*N mod M] on the
+        level-``depth`` table.  Level t is every n^(depth-t)-th vertex of it,
+        so the law holds on every shallower level too."""
         if depth < 0:
             raise ValueError("check depth must be nonnegative")
-        _table_budget(self.partition, depth)
-        n = self.base
-        for t in range(depth + 1):
-            table = self.chain.table(t)
-            M = len(table)
-            for N in range(M):
-                want = table.values[(n * N) % M]
-                got = self.map.evaluate(table.values[N])
-                if got != want:
-                    return ConjugacyCheck(False, depth, (t, N, want, got))
-        return ConjugacyCheck(True, depth, None)
+        witness = _law_witness(self.chain.table(depth), self.map)
+        if witness is None:
+            return ConjugacyCheck(True, depth, None)
+        return ConjugacyCheck(False, depth, (depth, *witness))
 
 
 def equal_pairs(P: AffineMarkovPartition) -> bool:
@@ -317,7 +311,7 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
     multiplication is).
     """
     n, p, r = conj.base, conj.interval_count, conj.circumference
-    _table_budget(conj.partition, depth)
+    conj.chain.table(depth)  # past the vertex budget, refuses before deriving a level
     subset_holds = True
     counterexample = None
     for t in range(depth + 1):
@@ -333,9 +327,8 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
                         point=x, source_point=q, kind="grid-point"
                     )
     if counterexample is None:
-        fixed = set(periodic_points(conj.map, 1))
         for x in periodic_points(conj.map, 2):
-            if x not in fixed and is_nadic(x, n):
+            if conj.map.evaluate(x) != x and is_nadic(x, n):
                 counterexample = EqualityCounterexample(
                     point=x, source_point=None, kind="periodic-point"
                 )

@@ -238,23 +238,36 @@ def derive(table: PartitionLevelTable, g: PLCircleMap) -> PartitionLevelTable:
     requires every breakpoint of g to be a table vertex already, so g is
     affine on each interval.
     """
-    n = g.degree
-    vals = table.values
-    M = len(vals)
-    r = table.circumference
-    if g.circumference != r:
+    if g.circumference != table.circumference:
         raise ValueError("table and map live on different circles")
-    value_set = set(vals)
+    value_set = set(table.values)
     for b in g.breakpoints:
         if b not in value_set:
             raise NotMarkov(f"map breaks at {b}, which is not a level-{table.level} vertex",
                             index=-1)
+    witness = _law_witness(table, g)
+    if witness is not None:
+        N, _, got = witness
+        raise NotMarkov(f"vertex {N} maps to {got}, expected vertex "
+                        f"{(g.degree * N) % len(table)}", index=N)
+    return _refine(table, g.degree)
+
+
+def _law_witness(table: PartitionLevelTable, g: PLCircleMap) -> Optional[tuple]:
+    """The first vertex N with g(T[N]) != T[n*N mod M], as (N, want, got)."""
+    vals, M = table.values, len(table)
     for N in range(M):
-        if g.evaluate(vals[N]) != vals[(n * N) % M]:
-            raise NotMarkov(
-                f"vertex {N} maps to {g.evaluate(vals[N])}, expected vertex {(n * N) % M}",
-                index=N,
-            )
+        want, got = vals[(g.degree * N) % M], g.evaluate(vals[N])
+        if got != want:
+            return N, want, got
+    return None
+
+
+def _refine(table: PartitionLevelTable, n: int) -> PartitionLevelTable:
+    """Split each interval into n in the proportions of the n intervals its
+    branch covers; no map is consulted."""
+    vals = table.values
+    M = len(vals)
     new_values = []
     for N in range(M):
         new_values.append(vals[N])
@@ -266,36 +279,25 @@ def derive(table: PartitionLevelTable, g: PLCircleMap) -> PartitionLevelTable:
             acc += block[l]
             new_values.append(vals[N] + length * acc / span)
     return PartitionLevelTable(level=table.level + 1, values=tuple(new_values),
-                               circumference=r)
+                               circumference=table.circumference)
 
 
 MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
 
 
-def _table_budget(P: AffineMarkovPartition, depth: int) -> None:
-    """Refuse with BudgetExceeded a level of more than MAX_TABLE_VERTICES."""
-    count = P.interval_count * P.base**depth
-    if count > MAX_TABLE_VERTICES:
-        raise BudgetExceeded(
-            f"level {depth} has {count} vertices, budget is {MAX_TABLE_VERTICES}",
-            limit=MAX_TABLE_VERTICES,
-        )
-
-
 class LevelChain:
-    """Lazily derived tower of vertex tables for one partition's map.
+    """Lazily refined tower of vertex tables for one partition.
 
     Only whole-level enumerations need it; single vertices come from the
-    inverse-branch descent of ``vertex_value``.  Levels past the vertex
-    budget are refused before anything is derived.
+    inverse-branch descent of ``vertex_value``.  Each level is refined from
+    the last by the partition alone; as the partition's map is affine on
+    each interval, the new vertices are exactly the preimages of the
+    vertices it covers, so the vertex law holds by construction.  Levels
+    past the vertex budget are refused before anything is derived.
     """
 
-    def __init__(self, partition: AffineMarkovPartition,
-                 g: Optional[PLCircleMap] = None):
+    def __init__(self, partition: AffineMarkovPartition):
         self.partition = partition
-        if g is None:
-            g, _ = build_expanding_map(partition)
-        self.map = g
         base_table = PartitionLevelTable(
             level=0, values=partition.endpoints,
             circumference=partition.circumference,
@@ -306,10 +308,15 @@ class LevelChain:
     def table(self, depth: int) -> PartitionLevelTable:
         if depth < 0:
             raise ValueError("refinement depth must be nonnegative")
-        _table_budget(self.partition, depth)
+        count = self.partition.interval_count * self.partition.base**depth
+        if count > MAX_TABLE_VERTICES:
+            raise BudgetExceeded(
+                f"level {depth} has {count} vertices, budget is {MAX_TABLE_VERTICES}",
+                limit=MAX_TABLE_VERTICES,
+            )
         with self._lock:
             while len(self._tables) <= depth:
-                self._tables.append(derive(self._tables[-1], self.map))
+                self._tables.append(_refine(self._tables[-1], self.partition.base))
             return self._tables[depth]
 
 

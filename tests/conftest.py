@@ -52,11 +52,11 @@ def partition_file(tmp_path):
 
 
 def rescaled_level_partition(
-    partition: AffineMarkovPartition, g, depth: int
+    partition: AffineMarkovPartition, depth: int
 ) -> AffineMarkovPartition:
     """The integer-weight partition whose endpoints are the level-``depth``
     vertices of ``partition`` — a finer valid partition of the same map."""
-    table = LevelChain(partition, g).table(depth)
+    table = LevelChain(partition).table(depth)
     values = list(table.values) + [partition.circumference]
     gaps = [b - a for a, b in zip(values, values[1:])]
     scale = lcm(*(gap.denominator for gap in gaps))

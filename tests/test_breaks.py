@@ -117,7 +117,7 @@ def merge_violations_oracle(g, partition, level):
     """The pair-by-pair orbit-merge scan: every vertex pair re-derives its
     first meeting and both break totals from the full orbits."""
     n, m = partition.base, partition.power_exponent
-    chain = LevelChain(partition, g)
+    chain = LevelChain(partition)
     if m is not None and level <= m:
         stride = n**(m - level)
         points = [partition.endpoints[i * stride] for i in range((n - 1) * n**level)]

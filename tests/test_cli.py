@@ -269,6 +269,14 @@ class TestDyadicStatus:
         assert out == ""
         assert err == "refused: BudgetExceeded: level 3 has 128 vertices, budget is 64\n"
 
+    def test_deep_level_is_refused_before_any_table(self, capsys, partition_file):
+        code, out, err = run_cli(
+            capsys, "partition", "dyadic-status", partition_file("1"), "--depth", "30")
+        assert code == 2
+        assert out == ""
+        assert err == ("refused: BudgetExceeded: level 30 has 17179869184 vertices, "
+                       "budget is 1048576\n")
+
     def test_negative_depth_flag_is_an_input_error(self, capsys, partition_file):
         code, out, err = run_cli(
             capsys, "partition", "dyadic-status", partition_file("2"),

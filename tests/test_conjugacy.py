@@ -56,9 +56,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("example_id", example_ids())
     def test_maps_source_grid_onto_vertex_tables(self, examples, example_id):
-        partition, g, _ = examples[example_id]
+        partition, _, _ = examples[example_id]
         conj = Conjugator(partition)
-        chain = LevelChain(partition, g)
+        chain = LevelChain(partition)
         for depth in range(0, 3):
             table = chain.table(depth)
             for index, value in enumerate(table.values):
@@ -111,9 +111,9 @@ class TestInverseValue:
 
     @pytest.mark.parametrize("example_id", example_ids())
     def test_inverts_evaluate_on_vertices(self, examples, example_id):
-        partition, g, _ = examples[example_id]
+        partition, _, _ = examples[example_id]
         conj = Conjugator(partition)
-        table = LevelChain(partition, g).table(2)
+        table = LevelChain(partition).table(2)
         for index, value in enumerate(table.values):
             assert conj.inverse_value(value) == conj.source_vertex(index, 2)
 
@@ -196,14 +196,35 @@ class TestConjugacyLaw:
             chain._tables[2] = PartitionLevelTable(
                 level=2, values=tuple(values), circumference=table.circumference
             )
-        outcome = conj.check(3)
-        assert not outcome.passed
-        depth, index, expected, actual = outcome.witness
-        assert depth == 2
-        assert actual != expected
-        tampered = chain.table(2)
-        assert conj.map.evaluate(tampered.values[index]) == actual
-        assert tampered.values[(2 * index) % len(tampered.values)] == expected
+        # The check reads only the deepest table; level 3 refines the tampered
+        # level 2, so the fault shows on both.
+        for depth, witness in ((2, (2, 5, F(9, 16), F(19, 32))),
+                               (3, (3, 9, F(17, 32), F(35, 64)))):
+            outcome = conj.check(depth)
+            assert not outcome.passed
+            assert outcome.witness == witness
+            _, index, want, got = witness
+            values = chain.table(depth).values
+            assert conj.map.evaluate(values[index]) == got
+            assert values[(2 * index) % len(values)] == want
+
+    def test_check_evaluates_the_map_on_the_deepest_level_only(self, examples,
+                                                              monkeypatch):
+        partition, _, _ = examples["1"]  # 16 intervals, base 2
+        conj = Conjugator(partition)
+        calls = []
+        evaluate = PLCircleMap.evaluate
+
+        def counting(self, x):
+            calls.append(x)
+            return evaluate(self, x)
+
+        # PLCircleMap has __slots__, so the count goes on the class.
+        monkeypatch.setattr(PLCircleMap, "evaluate", counting)
+        conj.chain.table(5)
+        assert len(calls) == 0  # refining consults no map
+        assert conj.check(5).passed
+        assert len(calls) == 16 * 2**5
 
     def test_depth_validation(self, examples):
         partition, _, _ = examples["1"]
@@ -392,9 +413,9 @@ class TestEqualPairsAndExtraction:
             h, _, partition = random_conjugate_factory(seed)
             corpus.append((partition, h))
         for example_id in example_ids():
-            partition, g, _ = examples[example_id]
+            partition, _, _ = examples[example_id]
             for depth in (1, 2):
-                corpus.append((rescaled_level_partition(partition, g, depth), None))
+                corpus.append((rescaled_level_partition(partition, depth), None))
         pl_count = 0
         for partition, known_h in corpus:
             pairs = equal_pairs(partition)

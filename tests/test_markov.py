@@ -160,8 +160,8 @@ class TestStableLevel:
 class TestLevelTables:
     @pytest.mark.parametrize("example_id", example_ids())
     def test_tables_refine_and_sum_to_circumference(self, examples, example_id):
-        partition, g, _ = examples[example_id]
-        chain = LevelChain(partition, g)
+        partition, _, _ = examples[example_id]
+        chain = LevelChain(partition)
         previous = None
         for depth in range(0, 4):
             table = chain.table(depth)
@@ -178,7 +178,7 @@ class TestLevelTables:
     @pytest.mark.parametrize("example_id", example_ids())
     def test_vertex_permutation_law(self, examples, example_id):
         partition, g, _ = examples[example_id]
-        chain = LevelChain(partition, g)
+        chain = LevelChain(partition)
         n = partition.base
         for depth in range(0, 4):
             table = chain.table(depth)
@@ -186,10 +186,22 @@ class TestLevelTables:
             for index, value in enumerate(table.values):
                 assert g.evaluate(value) == table.values[(n * index) % count]
 
+    @pytest.mark.parametrize("example_id", example_ids())
+    def test_levels_are_sub_lattices_and_derive_agrees(self, examples, example_id):
+        """Level t is every n-th vertex of level t+1, which is what lets
+        ``Conjugator.check`` test the law on the deepest level only; and the
+        checked ``derive`` refines exactly as the chain does."""
+        partition, g, _ = examples[example_id]
+        chain = LevelChain(partition)
+        n = partition.base
+        for t in range(0, 5):
+            table, finer = chain.table(t), chain.table(t + 1)
+            assert all(finer.values[n * N] == value for N, value in enumerate(table.values))
+            assert derive(table, g) == finer
+
     def test_uniform_tables_match_the_standard_grid(self):
         partition = AffineMarkovPartition(3, [1] * 6)
-        g, _ = build_expanding_map(partition)
-        chain = LevelChain(partition, g)
+        chain = LevelChain(partition)
         for depth in range(0, 4):
             assert chain.table(depth).values == standard_level_table(3, depth + 1).values
 
@@ -200,15 +212,15 @@ class TestLevelTables:
         assert table.values == tuple(F(i, 9) for i in range(18))
 
     def test_derive_refuses_foreign_maps(self, examples):
-        partition1, g1, _ = examples["1"]
+        partition1, _, _ = examples["1"]
         _, g4, _ = examples["4"]
-        table = LevelChain(partition1, g1).table(0)
+        table = LevelChain(partition1).table(0)
         with pytest.raises(NotMarkov):
             derive(table, g4)
 
     def test_chain_is_thread_safe(self, examples):
-        partition, g, _ = examples["3"]
-        chain = LevelChain(partition, g)
+        partition, _, _ = examples["3"]
+        chain = LevelChain(partition)
         results = []
 
         def worker():
@@ -312,7 +324,7 @@ class TestLengthRatios:
 
     def test_interval_lengths_match_tables(self, examples):
         partition, g, _ = examples["1"]
-        chain = LevelChain(partition, g)
+        chain = LevelChain(partition)
         m = partition.power_exponent
         for depth in range(0, 3):
             table = chain.table(depth)
