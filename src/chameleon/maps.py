@@ -12,6 +12,17 @@ Two representations:
 
 Both normalise on construction (zero-break boundaries are merged, values are
 reduced), so structural equality coincides with equality as functions.
+
+The public ``PLCircleMap`` constructor validates and normalises whatever it
+is given.  Three paths skip that work because their data is already normal
+by construction and the checks would only repeat what they know:
+``PLCircleMap.compose`` (one merge sweep that keeps a boundary only where the
+composite slope changes), ``PLCircleMap.invert`` (the images of the breaks,
+whose lift values are the original boundaries) and
+``markov.build_expanding_map`` (the breaks of a partition, whose lift values
+are read off the cut permutation).  They build through the private
+``PLCircleMap._from_lift``, which only anchors the data; the tests compare
+each with the validated constructor on the same data.
 """
 
 from __future__ import annotations
@@ -116,22 +127,38 @@ class PLCircleMap:
                 f"slopes integrate to {total}, expected degree*circumference {d * r}"
             )
 
-        # Normalise: keep only boundaries where the slope actually changes.
-        keep = [i for i in range(len(bs)) if ss[i] != ss[i - 1]]
-        if not keep:
-            # Break-free: the slope is forced to equal the degree; anchor at 0.
+        # Normalise: keep only boundaries where the slope actually changes;
+        # a break-free map keeps its first one.
+        keep = [i for i in range(len(bs)) if ss[i] != ss[i - 1]] or [0]
+        self._anchor(r, d, tuple(bs[i] for i in keep), tuple(ss[i] for i in keep),
+                     [lift[i] for i in keep])
+
+    def _anchor(self, r: int, d: int, bs: tuple, ss: tuple, lift) -> None:
+        """Store normal data: a single boundary is a break-free map, whose
+        slope is forced to equal the degree and which is anchored at 0, and
+        the lift is shifted by a multiple of r into [0, r) at its start."""
+        if len(bs) == 1:
             bs, ss, lift = (ZERO,), (Fraction(d),), [lift[0] - d * bs[0]]
-        else:
-            bs = tuple(bs[i] for i in keep)
-            ss = tuple(ss[i] for i in keep)
-            lift = [lift[i] for i in keep]
-        shift = lift[0] - reduce_to_circle(lift[0], r)
+        shift = lift[0] // r * r
         self.circumference = r
         self.degree = d
         self.boundaries = bs
         self.slopes = ss
         self._lift = tuple(v - shift for v in lift)
         self.value_at_first = self._lift[0]
+
+    @classmethod
+    def _from_lift(cls, circumference: int, degree: int, boundaries, slopes,
+                   lift) -> "PLCircleMap":
+        """A map from data that is already normal, with no check.
+
+        ``boundaries`` are strictly increasing in [0, r), cyclically adjacent
+        ``slopes`` differ (or there is one boundary), and ``lift`` holds the
+        values of a lift continuous over [b0, b0 + r) at the boundaries.
+        """
+        m = cls.__new__(cls)
+        m._anchor(circumference, degree, tuple(boundaries), tuple(slopes), lift)
+        return m
 
     # -- constructors --------------------------------------------------------
 
@@ -234,48 +261,83 @@ class PLCircleMap:
 
     # -- algebra ---------------------------------------------------------------
 
+    def _lifted_boundaries(self, y: Fraction) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+        """Triples (c_j + k*r, lift value there, slope on the right) over the
+        lifted boundaries in order, from the one owning the real point y on;
+        the lift value is G(c_j) + k*d*r."""
+        r, cs = self.circumference, self.boundaries
+        k = (y - cs[0]) // r
+        j = bisect.bisect_right(cs, y - k * r) - 1
+        pieces = tuple(zip(cs, self._lift, self.slopes))
+        while True:
+            for c, v, t in pieces[j:]:
+                yield c + k * r, v + k * self.degree * r, t
+            j, k = 0, k + 1
+
     def compose(self, inner: "PLCircleMap") -> "PLCircleMap":
-        """The composite self(inner(x)) as a circle map."""
+        """The composite self(inner(x)) as a circle map.
+
+        One merge sweep: inner's window pieces in order against one pointer
+        over this map's lifted boundaries.  A boundary is kept only where
+        the composite slope changes, with its lift value read off directly.
+        """
         if not isinstance(inner, PLCircleMap):
             raise TypeError("can only compose circle maps with circle maps")
         if inner.circumference != self.circumference:
             raise ValueError("circumference mismatch")
         r = self.circumference
-        candidates = set(inner.boundaries)
-        outer_breaks = self.breakpoints or (self.boundaries[0],)
-        for start, end, branch in inner.window_pieces():
-            lo, hi = branch(start), branch(end)
-            for beta in outer_breaks:
-                k = (lo - beta) // r
-                if beta + k * r < lo:
-                    k += 1
-                while beta + k * r < hi:
-                    x = (beta + k * r - branch.intercept) / branch.slope
-                    candidates.add(reduce_to_circle(x, r))
-                    k += 1
-        bs = sorted(candidates)
-        ss = []
-        for b in bs:
-            inner_s = inner.right_slope(b)
-            ss.append(inner_s * self.right_slope(inner.evaluate(b)))
-        value0 = self.evaluate(inner.evaluate(bs[0]))
-        return PLCircleMap(r, self.degree * inner.degree, tuple(bs), tuple(ss), value0)
+        degree = self.degree * inner.degree
+        ends = inner._lift[1:] + (inner._lift[0] + inner.degree * r,)
+        outer = self._lifted_boundaries(inner._lift[0])
+        at, value, t = next(outer)
+        after = next(outer)
+        bs, ss, lift = [], [], []
+        for b, s, lo, hi in zip(inner.boundaries, inner.slopes, inner._lift, ends):
+            # An outer boundary at the end of the last piece is at this
+            # piece's start, so the pointer steps past it here.
+            while after[0] <= lo:
+                (at, value, t), after = after, next(outer)
+            slope = s * t
+            if not ss or slope != ss[-1]:
+                bs.append(b)
+                ss.append(slope)
+                lift.append(value + t * (lo - at))
+            while after[0] < hi:
+                (at, value, t), after = after, next(outer)
+                slope = s * t
+                if slope != ss[-1]:
+                    bs.append(b + (at - lo) / s)
+                    ss.append(slope)
+                    lift.append(value)
+        if len(ss) > 1 and ss[-1] == ss[0]:
+            del bs[0], ss[0], lift[0]
+        # The window [b0, b0 + r) may pass r; rotate that part to the front.
+        w = bisect.bisect_left(bs, r)
+        return PLCircleMap._from_lift(
+            r, degree,
+            [b - r for b in bs[w:]] + bs[:w],
+            ss[w:] + ss[:w],
+            [v - degree * r for v in lift[w:]] + lift[:w],
+        )
 
     def invert(self) -> "PLCircleMap":
-        """Inverse homeomorphism; defined for degree-one maps only."""
+        """Inverse homeomorphism; defined for degree-one maps only.
+
+        Its breaks sit at the images of the breaks, where its lift takes the
+        original boundaries; images past r wrap to the front.
+        """
         if self.degree != 1:
             raise NotInvertible(
                 f"degree {self.degree} circle maps are not injective"
             )
         r = self.circumference
-        pairs = []
-        for b in self.boundaries:
-            v = self.evaluate(b)
-            pairs.append((v, 1 / self.right_slope(b), b))
-        pairs.sort()
-        bs = tuple(v for v, _, _ in pairs)
-        ss = tuple(s for _, s, _ in pairs)
-        return PLCircleMap(r, 1, bs, ss, pairs[0][2])
+        w = bisect.bisect_left(self._lift, r)
+        return PLCircleMap._from_lift(
+            r, 1,
+            [v - r for v in self._lift[w:]] + list(self._lift[:w]),
+            [1 / s for s in self.slopes[w:] + self.slopes[:w]],
+            [b - r for b in self.boundaries[w:]] + list(self.boundaries[:w]),
+        )
 
     def iterate(self, power: int) -> "PLCircleMap":
         """Compose the map with itself the given number of times (power >= 1)."""

@@ -169,15 +169,27 @@ def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildRep
                 index=i, slope=s,
             )
         exponents.append(e)
-    for i, x in enumerate(P.endpoints):
-        if not is_nadic(x, n):
-            raise EndpointNotNAdic(
-                f"cut point {i} at {x} is not a base-{n} fraction",
-                index=i, value=x,
-            )
-    g = PLCircleMap(P.circumference, n, P.endpoints, P.slopes, Fraction(0))
+    # Cut points are integer multiples of the unit, so they are all base-n
+    # fractions when it is one.
+    if not is_nadic(P.unit, n):
+        for i, x in enumerate(P.endpoints):
+            if not is_nadic(x, n):
+                raise EndpointNotNAdic(
+                    f"cut point {i} at {x} is not a base-{n} fraction",
+                    index=i, value=x,
+                )
+    # The map's breaks are the cuts where the slope changes (a break-free
+    # partition gives multiplication by n), and its lift sends cut i to the
+    # lifted cut n*i, that is e[n*i mod p] + r*floor(n*i/p).
+    break_indices = P.break_indices()
+    cuts = break_indices or (0,)
+    r = P.circumference
+    g = PLCircleMap._from_lift(
+        r, n, [P.endpoints[i] for i in cuts], [P.slopes[i] for i in cuts],
+        [P.endpoints[n * i % p] + r * (n * i // p) for i in cuts],
+    )
     breaks = []
-    for i in P.break_indices():
+    for i in break_indices:
         e = exponents[i] - exponents[(i - 1) % p]
         breaks.append((P.endpoints[i], e))
     report = BuildReport(

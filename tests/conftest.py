@@ -36,6 +36,29 @@ def examples():
     return built
 
 
+def circle_map_data(m: PLCircleMap) -> tuple:
+    """Everything a circle map stores, its private lift included."""
+    return (m.circumference, m.degree, m.boundaries, m.slopes, m.value_at_first,
+            m._lift)
+
+
+@pytest.fixture
+def circle_map_calls(monkeypatch):
+    """Names of the PLCircleMap constructor, ``evaluate`` and ``right_slope``
+    calls made while the test runs, in order."""
+    calls = []
+    for name in ("__init__", "evaluate", "right_slope"):
+        method = getattr(PLCircleMap, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        # PLCircleMap has __slots__, so the count goes on the class.
+        monkeypatch.setattr(PLCircleMap, name, counting)
+    return calls
+
+
 @pytest.fixture
 def partition_file(tmp_path):
     """Factory writing a bundled example's partition data to a JSON file."""

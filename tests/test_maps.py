@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from chameleon.breaks import pl_criterion
+from chameleon.conjugacy import partition_from_expanding_map
 from chameleon.errors import BudgetExceeded, NotAPowerRatio, ParseError
 from chameleon.exact import reduce_to_circle
 from chameleon.interpolate import interpolate_line, random_dyadic_homeomorphism
@@ -25,6 +27,7 @@ from chameleon.maps import (
     orbit,
     sum_of_breaks,
 )
+from conftest import circle_map_data
 
 F = Fraction
 
@@ -115,6 +118,62 @@ def random_raw_circle_data(rng: random.Random):
     ss = [w * scale for w in weights]
     value_at_first = F(rng.randrange(-48 * r, 48 * r), 16)
     return r, d, tuple(bs), tuple(ss), value_at_first
+
+
+# References for PLCircleMap.compose and invert: the candidate-set compose,
+# which collects inner's boundaries and every preimage of an outer break,
+# sorts them and evaluates both maps at each, and the inverse read off
+# evaluate and right_slope.  Both build through the validated constructor.
+
+
+def reference_compose(outer: PLCircleMap, inner: PLCircleMap) -> PLCircleMap:
+    r = outer.circumference
+    candidates = set(inner.boundaries)
+    outer_breaks = outer.breakpoints or (outer.boundaries[0],)
+    for start, end, branch in inner.window_pieces():
+        lo, hi = branch(start), branch(end)
+        for beta in outer_breaks:
+            k = (lo - beta) // r
+            if beta + k * r < lo:
+                k += 1
+            while beta + k * r < hi:
+                x = (beta + k * r - branch.intercept) / branch.slope
+                candidates.add(reduce_to_circle(x, r))
+                k += 1
+    bs = sorted(candidates)
+    ss = []
+    for b in bs:
+        inner_s = inner.right_slope(b)
+        ss.append(inner_s * outer.right_slope(inner.evaluate(b)))
+    value0 = outer.evaluate(inner.evaluate(bs[0]))
+    return PLCircleMap(r, outer.degree * inner.degree, tuple(bs), tuple(ss), value0)
+
+
+def reference_invert(m: PLCircleMap) -> PLCircleMap:
+    pairs = sorted((m.evaluate(b), 1 / m.right_slope(b), b) for b in m.boundaries)
+    return PLCircleMap(m.circumference, 1, tuple(v for v, _, _ in pairs),
+                       tuple(s for _, s, _ in pairs), pairs[0][2])
+
+
+def raw_circle_pair(rng: random.Random):
+    """Two validated maps from random raw data of one circumference."""
+    r, *outer = random_raw_circle_data(rng)
+    while True:
+        r2, *inner = random_raw_circle_data(rng)
+        if r2 == r:
+            return PLCircleMap(r, *outer), PLCircleMap(r, *inner)
+
+
+def roundtrip_maps(seed: int):
+    """(h, g, rebuilt) of one roundtrip: g = h(2x)h^-1 and the conjugator
+    that the PL criterion rebuilds from g's recovered partition."""
+    rng = random.Random(seed)
+    h = random_dyadic_homeomorphism(rng, max_breaks=8, grid_exponent=5)
+    g = reference_compose(reference_compose(h, multiplication_map(2)),
+                          reference_invert(h))
+    verdict = pl_criterion(g, partition_from_expanding_map(g))
+    assert verdict.is_pl
+    return h, g, verdict.conjugator
 
 
 class TestStoredLift:
@@ -291,6 +350,81 @@ class TestCompositionAlgebra:
         for x in (F(-2), F(0), F(3, 4), F(5, 2)):
             assert composed.evaluate(x) == f.evaluate(g.evaluate(x))
         assert f.invert().compose(f) == PLLineMap.identity()
+
+
+class TestMergeCompose:
+    """The merge-sweep compose and the lift-read invert against the
+    references, on everything they store."""
+
+    def test_seeded_raw_pairs_match_reference(self):
+        rng = random.Random(909)
+        for _ in range(400):
+            outer, inner = raw_circle_pair(rng)
+            for a, b in ((outer, inner), (inner, outer), (outer, outer)):
+                assert circle_map_data(a.compose(b)) == circle_map_data(
+                    reference_compose(a, b))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_roundtrip_pairs_match_reference(self, seed):
+        h, g, rebuilt = roundtrip_maps(seed)
+        nu = multiplication_map(2)
+        h_nu = h.compose(nu)
+        pairs = ((h, nu), (h_nu, h.invert()), (rebuilt, nu), (g, rebuilt))
+        for outer, inner in pairs:
+            assert circle_map_data(outer.compose(inner)) == circle_map_data(
+                reference_compose(outer, inner))
+        assert circle_map_data(h_nu.compose(h.invert())) == circle_map_data(g)
+
+    @pytest.mark.parametrize("inner", [
+        # Piece ends 1/4 and 1 (the lift at the boundary 1/2, and one lap).
+        PLCircleMap(1, 1, (F(0), F(1, 2)), (F(1, 2), F(3, 2)), F(0)),
+        # Degree 2: piece ends 1/2 and 2, past the first lap.
+        PLCircleMap(1, 2, (F(0), F(1, 2)), (F(1), F(3)), F(0)),
+        # The first piece starts on an outer boundary.
+        PLCircleMap.rotation(1, F(1, 4)),
+        PLCircleMap(1, 1, (F(1, 8), F(5, 8)), (F(1, 2), F(3, 2)), F(1, 4)),
+    ])
+    def test_outer_boundary_on_an_inner_piece_end(self, inner):
+        outer = PLCircleMap(1, 1, (F(0), F(1, 4), F(1, 2)), (F(2), F(1), F(1, 2)),
+                            F(0))
+        lifted_breaks = {b + k for b in outer.boundaries for k in range(3)}
+        assert lifted_breaks & {piece(end) for _, end, piece in inner.window_pieces()}
+        composite = outer.compose(inner)
+        assert circle_map_data(composite) == circle_map_data(
+            reference_compose(outer, inner))
+        assert list(composite.boundaries) == sorted(set(composite.boundaries))
+        for x in [F(j, 16) for j in range(16)]:
+            assert composite.evaluate(x) == outer.evaluate(inner.evaluate(x))
+
+    def test_break_free_composites(self):
+        nu = multiplication_map(3, circumference=2)
+        rotation = PLCircleMap.rotation(2, F(3, 4))
+        for outer, inner in ((nu, rotation), (rotation, nu), (nu, nu)):
+            composite = outer.compose(inner)
+            assert composite.breakpoints == ()
+            assert circle_map_data(composite) == circle_map_data(
+                reference_compose(outer, inner))
+
+    def test_invert_matches_validated_constructor(self):
+        rng = random.Random(911)
+        maps = [random_circle_map(rng) for _ in range(40)]
+        maps += [h for seed in range(3) for h in roundtrip_maps(seed)[::2]]
+        while len(maps) < 200:
+            r, d, *data = random_raw_circle_data(rng)
+            if d == 1:
+                maps.append(PLCircleMap(r, d, *data))
+        for m in maps:
+            assert circle_map_data(m.invert()) == circle_map_data(reference_invert(m))
+
+    def test_no_validation_or_evaluation(self, circle_map_calls):
+        h, g, rebuilt = roundtrip_maps(0)
+        nu = multiplication_map(2)
+        circle_map_calls.clear()
+        h.compose(nu).compose(h.invert())
+        g.compose(rebuilt)
+        rebuilt.compose(nu)
+        g.iterate(2)
+        assert circle_map_calls == []
 
 
 class TestBreakValues:

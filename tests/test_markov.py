@@ -18,6 +18,7 @@ from chameleon.errors import (
 )
 from chameleon.exact import power_exponent
 from chameleon.golden import example_ids, load_example
+from chameleon.maps import PLCircleMap, multiplication_map
 from chameleon.markov import (
     AffineMarkovPartition,
     LevelChain,
@@ -33,6 +34,7 @@ from chameleon.markov import (
     standard_level_table,
     vertex_value,
 )
+from conftest import circle_map_data, subdivision_conjugate
 
 F = Fraction
 
@@ -68,14 +70,44 @@ class TestConstruction:
         assert g.evaluate(F(1)) == F(1)
 
     def test_non_power_slope_refused(self):
+        # The cut point 1/3 is off the lattice too; the slope is named first.
         with pytest.raises(SlopeNotPowerOfN) as info:
             build_expanding_map(AffineMarkovPartition(2, [1, 2]))
-        assert info.value.index == 0
+        assert (info.value.index, info.value.slope) == (0, F(3))
 
     def test_off_lattice_endpoint_refused(self):
         with pytest.raises(EndpointNotNAdic) as info:
             build_expanding_map(AffineMarkovPartition(2, [1, 1, 1]))
-        assert info.value.value == F(1, 3)
+        assert (info.value.index, info.value.value) == (1, F(1, 3))
+
+    @pytest.fixture(scope="class")
+    def buildable(self, examples, random_conjugate_factory):
+        """Partitions of every shape the map is read off: the examples,
+        p = n - 1, uniform (break-free) weights, units off the lattice, and
+        recovered partitions."""
+        partitions = [partition for partition, _, _ in examples.values()]
+        partitions += [AffineMarkovPartition(n, [1] * (n - 1)) for n in (2, 3, 4)]
+        partitions += [AffineMarkovPartition(2, [1] * 8),
+                       AffineMarkovPartition(3, [1] * 6)]
+        # Units 1/3 and 1/6 are no base-2 fractions, but every cut point is.
+        partitions += [AffineMarkovPartition(2, [3]), AffineMarkovPartition(2, [3, 3])]
+        partitions += [random_conjugate_factory(seed)[2] for seed in range(8)]
+        partitions += [subdivision_conjugate(seed, 3)[2] for seed in range(3)]
+        return partitions
+
+    def test_map_matches_validated_constructor(self, buildable):
+        for partition in buildable:
+            g, _ = build_expanding_map(partition)
+            reference = PLCircleMap(partition.circumference, partition.base,
+                                    partition.endpoints, partition.slopes, 0)
+            assert circle_map_data(g) == circle_map_data(reference)
+            if not partition.break_indices():
+                assert g == multiplication_map(partition.base)
+
+    def test_build_neither_validates_nor_evaluates(self, buildable, circle_map_calls):
+        for partition in buildable:
+            build_expanding_map(partition)
+        assert circle_map_calls == []
 
     @pytest.mark.parametrize(
         "base,lengths",
