@@ -12,7 +12,6 @@ form when the partition pairs up.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -343,9 +342,20 @@ def partition_from_expanding_map(g: PLCircleMap,
                                  max_refinements: int = 20) -> AffineMarkovPartition:
     """Recover an affine Markov partition from an expanding map fixing 0.
 
-    Pulls the fixed point back through g until every breakpoint is covered,
-    then converts the gaps to integer weights.  The recovered partition is
-    verified to rebuild g exactly.
+    The cuts are the pullback g^-K(0) for the fewest K that puts every
+    breakpoint on a cut and leaves at least n - 1 intervals; the gaps,
+    reduced to coprime integers, are the weights.  The recovered partition
+    is verified to rebuild g exactly.
+
+    The pullback runs level by level in index order.  With G the lift of g
+    fixing 0 and L the m sorted vertices of level k - 1, vertex t of level k
+    is G^-1(L[t mod m] + r*floor(t/m)): the targets increase with t, so one
+    pointer over G's lifted pieces finds each branch and the level comes
+    out sorted.  On piece j the inverse branch is x = a_j*y + b_j.  With A
+    the lcm of the denominators of the a_j and B that of the b_j and of the
+    piece starts' images lo_j, level k is kept as integer numerators over
+    B*A^k, so a vertex costs one integer multiply-add and a comparison
+    against the integer threshold lo_j*B*A^(k-1).
     """
     r, n = g.circumference, g.degree
     if n < 2:
@@ -373,38 +383,53 @@ def partition_from_expanding_map(g: PLCircleMap,
                 point=b,
             )
         landing.update((q, length - i) for i, q in enumerate(walk))
-    # Each branch maps [start, end) onto the lifted [lo, hi); cut at the
-    # multiples k*r, that image covers circle windows [lo - k*r, hi - k*r),
-    # whose points v pull back to (v + k*r - intercept) / slope in [0, 2r).
-    windows = []
-    for start, end, branch in g.window_pieces():
-        lo, hi = branch(start), branch(end)
-        for k in range(lo // r, -(-hi // r)):
-            windows.append((lo - k * r, hi - k * r, k * r - branch.intercept, branch.slope))
-    # As 0 is fixed, g^-k(0) contains g^-(k-1)(0); each round pulls back only
-    # the points the previous round added, sorted so that each window finds
-    # its points by bisection.
-    breaks = set(g.breakpoints)
-    vertices, fresh = {Fraction(0)}, [Fraction(0)]
-    rounds = 0
-    while not breaks <= vertices:
-        if rounds >= max_refinements:
-            raise BudgetExceeded(
-                f"breakpoints not covered after {max_refinements} pullbacks",
-                limit=max_refinements,
-            )
-        pulled = []
-        for a, b, offset, s in windows:
-            for v in fresh[bisect_left(fresh, a):bisect_left(fresh, b)]:
-                x = (v + offset) / s
-                pulled.append(x - r if x >= r else x)
-        fresh = sorted(x for x in pulled if x not in vertices)
-        vertices.update(fresh)
-        rounds += 1
-    cuts = sorted(vertices)
-    gaps = [b - a for a, b in zip(cuts, cuts[1:])] + [cuts[0] + r - cuts[-1]]
-    scale = lcm(*(gap.denominator for gap in gaps))
-    weights = [int(gap * scale) for gap in gaps]
+    # b lies in g^-k(0) exactly when g^k(b) = 0, and the pullbacks are
+    # nested because 0 is fixed.  A break-free map of degree n >= 3 needs
+    # one pullback to leave the n - 1 intervals a partition needs.
+    rounds = max((landing[b] - 1 for b in g.breakpoints), default=0)
+    if rounds > max_refinements:
+        raise BudgetExceeded(
+            f"breakpoints not covered after {max_refinements} pullbacks",
+            limit=max_refinements,
+        )
+    if n > 2:
+        rounds = max(rounds, 1)
+    # G's pieces over [0, r), from the one owning 0, and the first boundary
+    # at or past r, whose image (at least n*r) stops the pointer.
+    lifted = g._lifted_boundaries(0)
+    at, value, slope = next(lifted)
+    shift = value - slope * at  # the lift's value at 0, a multiple of r
+    pieces = [(at, value - shift, slope)]
+    while pieces[-1][0] < r:
+        at, value, slope = next(lifted)
+        pieces.append((at, value - shift, slope))
+    # Inverse branches x = a*y + b with a = 1/slope, b = start - lo/slope.
+    alphas = [1 / s for _, _, s in pieces[:-1]]
+    betas = [c - lo * a for (c, lo, _), a in zip(pieces, alphas)]
+    A = lcm(*(a.denominator for a in alphas))
+    B = lcm(*(b.denominator for b in betas), *(lo.denominator for _, lo, _ in pieces))
+    factors = [a.numerator * (A // a.denominator) for a in alphas]
+    lows = [lo.numerator * (B // lo.denominator) for _, lo, _ in pieces]
+    offsets = [b.numerator * (B // b.denominator) for b in betas]
+    level, scale = [0], 1  # numerators over B*A^k; scale is A^k
+    for _ in range(rounds):
+        thresholds = [lo * scale for lo in lows]
+        lap = r * B * scale  # r over the denominator of level k - 1
+        scale *= A
+        terms = [b * scale for b in offsets]
+        fresh, j = [], 0
+        factor, term, following = factors[0], terms[0], thresholds[1]
+        for w in range(n):
+            base = w * lap
+            for v in level:
+                y = v + base
+                while y >= following:
+                    j += 1
+                    factor, term, following = factors[j], terms[j], thresholds[j + 1]
+                fresh.append(factor * y + term)
+        level = fresh
+    weights = [b - a for a, b in zip(level, level[1:])]
+    weights.append(r * B * scale - level[-1])
     unit = gcd(*weights)
     P = AffineMarkovPartition(n, [w // unit for w in weights])
     rebuilt, _ = build_expanding_map(P)

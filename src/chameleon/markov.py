@@ -34,7 +34,8 @@ class AffineMarkovPartition:
     """Cyclic integer weights cutting the circumference-(base-1) circle."""
 
     __slots__ = ("base", "lengths", "interval_count", "total_weight", "unit",
-                 "circumference", "endpoints", "slopes", "power_exponent")
+                 "circumference", "endpoints", "slopes", "power_exponent",
+                 "_break_indices")
 
     def __init__(self, base: int, lengths) -> None:
         if isinstance(base, bool) or not isinstance(base, int) or base < 2:
@@ -62,11 +63,15 @@ class AffineMarkovPartition:
             cuts.append(unit * acc)
             acc += v
         object.__setattr__(self, "endpoints", tuple(cuts))
-        slopes = []
-        for i in range(p):
-            block = sum(lengths[(base * i + l) % p] for l in range(base))
-            slopes.append(Fraction(block, lengths[i]))
-        object.__setattr__(self, "slopes", tuple(slopes))
+        blocks = [sum(lengths[(base * i + l) % p] for l in range(base))
+                  for i in range(p)]
+        object.__setattr__(self, "slopes", tuple(
+            Fraction(block, v) for block, v in zip(blocks, lengths)))
+        # Slope i = block_i / w_i differs from slope i-1 exactly when the
+        # cross products of the integers differ.
+        object.__setattr__(self, "_break_indices", tuple(
+            i for i in range(p)
+            if blocks[i] * lengths[i - 1] != blocks[i - 1] * lengths[i]))
         # power form: p = (base-1) * base**m
         m, q = 0, p
         if p % (base - 1) == 0:
@@ -87,8 +92,8 @@ class AffineMarkovPartition:
         return self.unit * self.lengths[i % self.interval_count]
 
     def break_indices(self) -> tuple[int, ...]:
-        p = self.interval_count
-        return tuple(i for i in range(p) if self.slopes[i] != self.slopes[i - 1])
+        """The cuts where the slope changes, computed once at construction."""
+        return self._break_indices
 
     def to_dict(self) -> dict:
         return {"base": self.base, "lengths": list(self.lengths)}

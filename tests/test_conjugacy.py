@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import rescaled_level_partition, subdivision_conjugate
 
-from chameleon import markov
+from chameleon import conjugacy, markov
 from chameleon.conjugacy import (
     Conjugator,
     equal_pairs,
@@ -29,9 +29,12 @@ from chameleon.errors import (
     NotPL,
     OddCount,
     ParseError,
+    RefusalError,
+    SlopeNotPowerOfN,
 )
 from chameleon.exact import is_nadic
 from chameleon.golden import example_ids, load_example
+from chameleon.interpolate import random_dyadic_homeomorphism
 from chameleon.markov import (
     AffineMarkovPartition,
     LevelChain,
@@ -568,8 +571,20 @@ def recovery_outcome(compute):
     """A partition, or a refusal as (type, message, fields)."""
     try:
         return compute()
-    except (BudgetExceeded, NotAVertex) as err:
+    except RefusalError as err:
         return type(err), str(err), vars(err)
+
+
+def roundtrip_maps(seed, count):
+    """The expanding maps of the first ``count`` trials of
+    ``chameleon roundtrip --seed <seed>``."""
+    rng = random.Random(seed)
+    model = multiplication_map(2)
+    maps = []
+    for _ in range(count):
+        h = random_dyadic_homeomorphism(rng, max_breaks=8, grid_exponent=5)
+        maps.append(h.compose(model).compose(h.invert()))
+    return maps
 
 
 class TestRecoveryAgainstOracle:
@@ -595,6 +610,29 @@ class TestRecoveryAgainstOracle:
             maps += [subdivision_conjugate(seed, n)[1] for seed in range(6)]
         for g in maps:
             assert partition_from_expanding_map(g) == recovery_oracle(g)
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_subdivision_conjugates_in_higher_bases(self, n):
+        for seed in range(4):
+            g = subdivision_conjugate(seed, n)[1]
+            assert partition_from_expanding_map(g) == recovery_oracle(g)
+
+    def test_maps_whose_first_boundary_is_past_zero(self):
+        """Roundtrip maps whose lift starts past 0, so that G's first piece
+        over [0, r) begins one circumference back."""
+        maps = [g for g in roundtrip_maps(0, 40) if g.boundaries[0] > 0]
+        assert len(maps) >= 5
+        for g in maps:
+            assert partition_from_expanding_map(g) == recovery_oracle(g)
+
+    def test_conjugate_with_slope_ratios_off_the_powers_of_two(self):
+        """Every breakpoint lands on 0, but the recovered gaps give slopes
+        that are no powers of 2, so the build refuses."""
+        h = PLCircleMap(1, 1, [0, F(1, 4), F(1, 2)], [1, F(3, 2), F(3, 4)], 0)
+        g = h.compose(multiplication_map(2)).compose(h.invert())
+        got = recovery_outcome(lambda: partition_from_expanding_map(g))
+        assert got[0] is SlopeNotPowerOfN
+        assert got == recovery_outcome(lambda: build_expanding_map(recovery_oracle(g)))
 
     @pytest.mark.parametrize("example_id", ("1", "3"))
     def test_refinement_budget(self, examples, example_id):
@@ -624,6 +662,58 @@ class TestPartitionRecovery:
             _, g, partition = random_conjugate_factory(seed)
             rebuilt, _ = build_expanding_map(partition)
             assert rebuilt == g
+
+    @pytest.mark.parametrize("n,lengths", [(2, [1]), (3, [1, 1, 1]), (4, [1, 1, 1, 1])])
+    def test_break_free_maps(self, n, lengths):
+        """Base 2 takes no pullback of 0; a higher base takes the one that
+        leaves the n - 1 intervals a partition needs, within any budget."""
+        recovered = AffineMarkovPartition(n, lengths)
+        assert partition_from_expanding_map(multiplication_map(n), 0) == recovered
+        g, _ = build_expanding_map(AffineMarkovPartition(n, [1] * (n - 1)))
+        assert partition_from_expanding_map(g) == recovered
+
+    @pytest.mark.parametrize("source", ("examples", "roundtrip"))
+    def test_recovery_walks_orbits_and_builds_once(self, examples, monkeypatch,
+                                                   source):
+        """Recovery evaluates g once at 0 and at most once at each point of
+        the breakpoint orbits, every such point when all of them land on 0,
+        and builds one map, however many vertices the partition has."""
+        if source == "examples":
+            maps = [g for _, g, _ in examples.values()]
+        else:
+            maps = roundtrip_maps(1, 24)
+        orbits = [{x for b in g.breakpoints for x in orbit(g, b).points} - {0}
+                  for g in maps]
+        points, builds = [], []
+        evaluate = PLCircleMap.evaluate
+        build = conjugacy.build_expanding_map
+
+        def counting_evaluate(self, x):
+            points.append(x)
+            return evaluate(self, x)
+
+        def counting_build(partition):
+            builds.append(partition)
+            return build(partition)
+
+        monkeypatch.setattr(PLCircleMap, "evaluate", counting_evaluate)
+        monkeypatch.setattr(conjugacy, "build_expanding_map", counting_build)
+        sizes = set()
+        for g, walked in zip(maps, orbits):
+            points.clear()
+            builds.clear()
+            outcome = recovery_outcome(lambda: partition_from_expanding_map(g))
+            assert points[0] == 0
+            assert len(set(points[1:])) == len(points) - 1
+            if isinstance(outcome, AffineMarkovPartition):
+                assert set(points[1:]) == walked
+                assert builds == [outcome]
+                sizes.add(outcome.interval_count)
+            else:
+                assert outcome[0] is NotAVertex
+                assert set(points[1:]) <= walked
+                assert builds == []
+        assert len(sizes) > 1
 
     def test_degree_one_maps_rejected(self):
         with pytest.raises(ValueError):

@@ -104,6 +104,17 @@ class TestConstruction:
             if not partition.break_indices():
                 assert g == multiplication_map(partition.base)
 
+    def test_break_indices_match_the_slopes(self, examples, random_conjugate_factory):
+        """The indices kept from the integer blocks are the cuts where the
+        Fraction slope changes."""
+        partitions = [partition for partition, _, _ in examples.values()]
+        partitions += [AffineMarkovPartition(n, [1] * (n - 1)) for n in (2, 3, 4)]
+        partitions += [random_conjugate_factory(seed)[2] for seed in range(8)]
+        for partition in partitions:
+            slopes = partition.slopes
+            assert partition.break_indices() == tuple(
+                i for i in range(partition.interval_count) if slopes[i] != slopes[i - 1])
+
     def test_build_neither_validates_nor_evaluates(self, buildable, circle_map_calls):
         for partition in buildable:
             build_expanding_map(partition)
