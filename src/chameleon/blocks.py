@@ -20,9 +20,9 @@ and alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
-from .errors import BadLength
+from .errors import BadLength, BudgetExceeded
 
 __all__ = [
     "PrefixBlock",
@@ -146,15 +146,25 @@ class ScanReport:
     violations: Tuple[Tuple[int, ...], ...]
 
 
-_CHUNK = 1 << 20
+MAX_SCAN_CANDIDATES = 2**20  # most candidate codes one exhaustive scan enumerates
 
 
-def _scan(length: int, base: int) -> Tuple[int, int, List[Tuple[int, ...]]]:
-    """Tally both block laws over all ``base**length`` digit sequences.
+def _truth_sets(length: int, base: int) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
+    """Codes of ``length``-digit base-``base`` sequences on which each law holds.
 
-    Each sequence is identified with the integer whose base-``base``
-    digits, least significant first, are its entries, so every law is
-    plain integer arithmetic on whole arrays of codes at once:
+    A sequence is identified with the integer whose base-``base`` digits,
+    least significant first, are its entries.  Returns the sets of codes
+    below ``base**length`` that are ``constant``, ``universal`` and
+    ``chained``, in that order; ``length`` is a power of two of at least
+    2 and ``base`` is positive.
+
+    With ``H = base**(length // 2)``, every code is ``hi * H + lo`` with
+    ``hi, lo < H``, and the two leading blocks agree at width 1 exactly
+    when ``hi == lo``, that is for the ``H`` codes ``b * (H + 1)``.  All
+    blocks are equal at width 1 on the same codes, and so are the
+    constants ``c * repunit``, since ``repunit = (H + 1) * repunit(length
+    // 2)``.  Every code on which a law holds is thus one of these
+    candidates, and only they are tested, at every width:
 
     * a sequence is constant exactly when its code is a multiple of the
       repunit ``(base**length - 1) // (base - 1)``;
@@ -164,56 +174,73 @@ def _scan(length: int, base: int) -> Tuple[int, int, List[Tuple[int, ...]]]:
     * the two leading blocks agree exactly when the code is congruent to
       its quotient by ``base**size`` modulo ``base**size``.
 
-    No digit arrays are materialised; codes are processed in fixed-size
-    chunks of one flat int64 array.  ``length`` is a power of two of at
-    least 2 and ``base`` is positive.  Returns ``(checked, nonconstant,
-    violations)`` where violations are digit tuples (least significant
-    position first) on which a law disagreed with constancy.
+    Refuses with ``BudgetExceeded`` when ``H`` exceeds
+    ``MAX_SCAN_CANDIDATES``, before any code is enumerated.
     """
-    import numpy as np  # here, not at module top, so `import chameleon` does not load numpy
-
     if base == 1:
-        return 1, 0, []
-    total = base**length
-    if total > 1 << 40:
-        raise ValueError(f"scan of {total} sequences is too large")
-    depth = length.bit_length() - 1
+        return frozenset({0}), frozenset({0}), frozenset({0})
+    half = base ** (length // 2)
+    if half > MAX_SCAN_CANDIDATES:
+        raise BudgetExceeded(
+            f"scan of length {length} over {base} symbols has {half} candidate codes, "
+            f"budget is {MAX_SCAN_CANDIDATES}",
+            limit=MAX_SCAN_CANDIDATES,
+        )
+    total = half * half
     repunit = (total - 1) // (base - 1)
-    checked = 0
-    nonconstant = 0
+    widths = []
+    size = length
+    while size > 1:
+        size //= 2
+        modulus = base**size
+        widths.append((modulus, (total - 1) // (modulus - 1)))
+    constant, universal, chained = set(), set(), set()
+    for code in range(0, total, half + 1):
+        if code % repunit == 0:
+            constant.add(code)
+        if all(code % tiling == 0 and code // tiling < modulus for modulus, tiling in widths):
+            universal.add(code)
+        if all((code // modulus) % modulus == code % modulus for modulus, _ in widths):
+            chained.add(code)
+    return frozenset(constant), frozenset(universal), frozenset(chained)
+
+
+def _scan(length: int, base: int) -> Tuple[int, int, List[Tuple[int, ...]]]:
+    """Tally both block laws over all ``base**length`` digit sequences.
+
+    The laws are read off the exact truth sets of ``_truth_sets``, which
+    enumerates only the ``base**(length // 2)`` codes whose two halves
+    agree: on every other code ``constant``, ``universal`` and
+    ``chained`` are all false, which agrees with the laws, so no other
+    code can be a violation.  ``length`` is a power of two of at least 2
+    and ``base`` is positive.  Returns ``(checked, nonconstant,
+    violations)`` where violations are digit tuples (least significant
+    position first), in ascending code order, on which a law disagreed
+    with constancy.
+    """
+    constant, universal, chained = _truth_sets(length, base)
+    checked = base**length
     violations: List[Tuple[int, ...]] = []
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        constant = codes % repunit == 0
-        universal = np.ones(codes.shape, dtype=bool)
-        chained = np.ones(codes.shape, dtype=bool)
-        for bits in range(1, depth + 1):
-            size = length >> bits
-            modulus = base**size
-            tiling = (total - 1) // (modulus - 1)
-            universal &= (codes % tiling == 0) & (codes // tiling < modulus)
-            chained &= (codes // modulus) % modulus == codes % modulus
-        bad = (universal != constant) | (chained != constant)
-        checked += int(codes.size)
-        nonconstant += int(codes.size) - int(np.count_nonzero(constant))
-        for code in codes[bad]:
-            value = int(code)
-            digits = []
-            for _ in range(length):
-                digits.append(value % base)
-                value //= base
-            violations.append(tuple(digits))
-    return checked, nonconstant, violations
+    for code in sorted((universal ^ constant) | (chained ^ constant)):
+        digits = []
+        for _ in range(length):
+            digits.append(code % base)
+            code //= base
+        violations.append(tuple(digits))
+    return checked, checked - len(constant), violations
 
 
 def exhaustive_scan(length: int, alphabet: Sequence[int] = (-1, 0, 1)) -> ScanReport:
     """Verify both block laws on every sequence of ``length`` symbols.
 
-    Enumerates all ``len(alphabet) ** length`` sequences over the given
-    distinct symbols, evaluates ``constant``, ``universal`` and
-    ``chained`` for each, and records any sequence where the laws
-    disagree with constancy.  Returns the tally; ``violations`` is empty
-    exactly when the laws hold over the whole shape.
+    Covers all ``len(alphabet) ** length`` sequences over the given
+    distinct symbols: evaluates ``constant``, ``universal`` and
+    ``chained`` on each through their exact truth sets, and records any
+    sequence where the laws disagree with constancy.  Returns the tally;
+    ``violations`` is empty exactly when the laws hold over the whole
+    shape.  Refuses with ``BudgetExceeded`` (``limit`` set to
+    ``MAX_SCAN_CANDIDATES``) when ``len(alphabet) ** (length // 2)``
+    exceeds that budget.
     """
     symbols = tuple(alphabet)
     if not symbols or len(set(symbols)) != len(symbols):
@@ -230,7 +257,7 @@ def exhaustive_scan(length: int, alphabet: Sequence[int] = (-1, 0, 1)) -> ScanRe
 def active_backend() -> str:
     """Name of the block-law scanner, for environment records.
 
-    ``exhaustive_scan`` has one scanner, the vectorised integer-code scan,
-    so this is always ``"reference"``.
+    ``exhaustive_scan`` has one scanner, the exact truth-set scan in
+    plain Python integers, so this is always ``"reference"``.
     """
     return "reference"

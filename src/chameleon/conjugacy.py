@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     ReconstructionMismatch,
 )
-from .exact import as_fraction, is_nadic, to_nadic
+from .exact import as_fraction, is_nadic, is_smooth, to_nadic
 from .maps import PLCircleMap, multiplication_map, orbit, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
@@ -310,21 +310,28 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
     multiplication is).
     """
     n, p, r = conj.base, conj.interval_count, conj.circumference
-    conj.chain.table(depth)  # past the vertex budget, refuses before deriving a level
-    subset_holds = True
+    # Past the vertex budget, refuses before deriving a level.  Vertex N of
+    # level t is vertex N * n**(depth - t) of this deepest level.
+    values = conj.chain.table(depth).values
+    nadic = [is_nadic(x, n) for x in values]
+    subset_holds = all(nadic)
+    # The source point r*N / (p*n**t) is base-n exactly when p / gcd(p, r*N)
+    # is n-smooth, which depends on N mod p only.
+    source_nadic = [is_smooth(p // gcd(p, r * N), n) for N in range(p)]
     counterexample = None
-    for t in range(depth + 1):
-        table = conj.chain.table(t)
-        count = p * n**t
-        for N, x in enumerate(table.values):
-            if not is_nadic(x, n):
-                subset_holds = False
-            if counterexample is None:
-                q = Fraction(r * N, count)
-                if not is_nadic(q, n) and is_nadic(x, n):
+    if not all(source_nadic):
+        for t in range(depth + 1):
+            stride = n ** (depth - t)
+            for N in range(p * n**t):
+                if not source_nadic[N % p] and nadic[N * stride]:
                     counterexample = EqualityCounterexample(
-                        point=x, source_point=q, kind="grid-point"
+                        point=values[N * stride],
+                        source_point=Fraction(r * N, p * n**t),
+                        kind="grid-point",
                     )
+                    break
+            if counterexample is not None:
+                break
     if counterexample is None:
         for x in periodic_points(conj.map, 2):
             if conj.map.evaluate(x) != x and is_nadic(x, n):

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from chameleon import blocks
 from chameleon.blocks import (
     BlockLawReport,
     exhaustive_scan,
     prefix_blocks,
     verify_block_laws,
 )
-from chameleon.errors import BadLength
+from chameleon.errors import BadLength, BudgetExceeded
 
 
 def sliced_universal(seq, depth):
@@ -163,10 +164,52 @@ class TestExhaustiveScan:
         assert (seen, nonconstant) == (report.checked, report.nonconstant)
 
 
+class TestTruthSets:
+    @pytest.mark.parametrize("length", (2, 4, 8))
+    @pytest.mark.parametrize("base", (2, 3, 4))
+    def test_match_per_sequence_laws(self, length, base):
+        """The codes on which each law holds are exactly those of the
+        sequences on which ``verify_block_laws`` finds it holds."""
+        want = (set(), set(), set())
+        for seq in itertools.product(range(base), repeat=length):
+            code = sum(digit * base**i for i, digit in enumerate(seq))
+            report = verify_block_laws(seq)
+            for found, holds in zip(want, (report.constant, report.universal,
+                                           report.chained)):
+                if holds:
+                    found.add(code)
+        assert blocks._truth_sets(length, base) == want
+
+    def test_single_symbol(self):
+        assert blocks._truth_sets(8, 1) == ({0}, {0}, {0})
+
+    def test_violations_are_reported_in_code_order(self, monkeypatch):
+        """A code in a law's truth set but not among the constants is a
+        violation, spelled in the alphabet, least significant entry first."""
+        monkeypatch.setattr(blocks, "_truth_sets",
+                            lambda length, base: ({0}, {0, 5}, {0, 1}))
+        report = exhaustive_scan(4, ("a", "b", "c"))
+        assert report.checked == 81
+        assert report.nonconstant == 80
+        assert report.violations == (("b", "a", "a", "a"), ("c", "b", "a", "a"))
+
+    def test_oversized_shapes_are_refused_up_front(self):
+        with pytest.raises(BudgetExceeded) as info:
+            exhaustive_scan(16, range(6))  # 6**8 candidate codes
+        assert info.value.limit == blocks.MAX_SCAN_CANDIDATES == 2**20
+
+    def test_budget_counts_candidate_codes(self, monkeypatch):
+        monkeypatch.setattr(blocks, "MAX_SCAN_CANDIDATES", 81)
+        assert exhaustive_scan(8, range(3)).checked == 3**8
+        with pytest.raises(BudgetExceeded) as info:
+            exhaustive_scan(8, range(4))
+        assert info.value.limit == 81
+
+
 class TestLazyNumpy:
     def test_package_import_leaves_numpy_unloaded(self):
-        """numpy loads only when a scan runs, so importing the package
-        stays cheap for callers that never scan."""
+        """Neither importing the package nor scanning loads numpy: the
+        package has no third-party runtime dependency."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
@@ -175,7 +218,8 @@ class TestLazyNumpy:
              "import chameleon\n"
              "print('numpy' in sys.modules)\n"
              "r = chameleon.exhaustive_scan(8, (-1, 0, 1))\n"
-             "print(r.checked, len(r.violations))"],
+             "print(r.checked, len(r.violations))\n"
+             "print('numpy' in sys.modules)"],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert out.stdout.split() == ["False", "6561", "0"]
+        assert out.stdout.split() == ["False", "6561", "0", "False"]

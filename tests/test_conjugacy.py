@@ -15,6 +15,8 @@ from conftest import rescaled_level_partition, subdivision_conjugate
 from chameleon import conjugacy, markov
 from chameleon.conjugacy import (
     Conjugator,
+    EqualityCounterexample,
+    ImageStatusReport,
     equal_pairs,
     extract_pl_h,
     nadic_image_status,
@@ -502,7 +504,58 @@ class TestPeriodicPoints:
             periodic_points(multiplication_map(2), 0)
 
 
+def image_status_oracle(conj, depth):
+    """The lattice image as it stood before reading the deepest level only:
+    every level 0..depth is read, and each vertex tested on its own."""
+    n, p, r = conj.base, conj.interval_count, conj.circumference
+    conj.chain.table(depth)
+    subset_holds = True
+    counterexample = None
+    for t in range(depth + 1):
+        table = conj.chain.table(t)
+        count = p * n**t
+        for N, x in enumerate(table.values):
+            if not is_nadic(x, n):
+                subset_holds = False
+            if counterexample is None:
+                q = F(r * N, count)
+                if not is_nadic(q, n) and is_nadic(x, n):
+                    counterexample = EqualityCounterexample(
+                        point=x, source_point=q, kind="grid-point"
+                    )
+    if counterexample is None:
+        for x in periodic_points(conj.map, 2):
+            if conj.map.evaluate(x) != x and is_nadic(x, n):
+                counterexample = EqualityCounterexample(
+                    point=x, source_point=None, kind="periodic-point"
+                )
+                break
+    return ImageStatusReport(
+        base=n, depth=depth, subset_holds=subset_holds,
+        counterexample=counterexample,
+    )
+
+
 class TestImageStatus:
+    def test_examples_match_the_level_by_level_oracle(self, examples):
+        kinds = set()
+        for partition, _, _ in examples.values():
+            for depth in range(6):
+                report = nadic_image_status(Conjugator(partition), depth)
+                assert report == image_status_oracle(Conjugator(partition), depth)
+                kinds.add(report.counterexample and report.counterexample.kind)
+        assert kinds == {None, "grid-point", "periodic-point"}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recovered_partitions_match_the_oracle(self, random_conjugate_factory, seed):
+        _, _, partition = random_conjugate_factory(seed)
+        depth = 0
+        while partition.interval_count * 2 ** (depth + 1) <= 512:
+            depth += 1
+        for d in range(depth + 1):
+            report = nadic_image_status(Conjugator(partition), d)
+            assert report == image_status_oracle(Conjugator(partition), d)
+
     @pytest.mark.parametrize("example_id", ("2", "3"))
     def test_frozen_reports(self, examples, example_id):
         record = load_example(example_id)["image_status"]
@@ -520,11 +573,16 @@ class TestImageStatus:
         assert report.equality_refuted
 
     def test_uniform_partition_is_onto_its_lattice(self):
-        partition = AffineMarkovPartition(2, [1, 1])
-        report = nadic_image_status(Conjugator(partition), 5)
-        assert report.subset_holds
-        assert report.counterexample is None
-        assert not report.equality_refuted
+        """In bases 3 and 4 the source points r*N / (p*n**t) are base-n
+        because p divides the circumference r = n - 1, although p itself is
+        not n-smooth."""
+        for base, lengths in ((2, [1, 1]), (3, [1, 1]), (4, [1, 1, 1])):
+            partition = AffineMarkovPartition(base, lengths)
+            report = nadic_image_status(Conjugator(partition), 5)
+            assert report.subset_holds
+            assert report.counterexample is None
+            assert not report.equality_refuted
+            assert report == image_status_oracle(Conjugator(partition), 5)
 
 
 def recovery_oracle(g, max_refinements=20):
