@@ -114,14 +114,12 @@ from .markov import (
     PartitionLevelTable,
     VertexRef,
     build_expanding_map,
-    derive,
     fixed_point_class,
     interval_length_at,
     natural_level,
     natural_slope,
     reduce_ref,
     stable_level,
-    standard_level_table,
     vertex_value,
 )
 

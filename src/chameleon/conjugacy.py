@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Optional
 
 from .errors import (
@@ -32,9 +32,9 @@ from .exact import as_fraction, is_nadic, is_smooth, to_nadic
 from .maps import PLCircleMap, multiplication_map, orbit, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
+    IntegerLevel,
     LevelChain,
     _descend,
-    _law_witness,
     build_expanding_map,
 )
 
@@ -205,10 +205,48 @@ class Conjugator:
         so the law holds on every shallower level too."""
         if depth < 0:
             raise ValueError("check depth must be nonnegative")
-        witness = _law_witness(self.chain.table(depth), self.map)
+        witness = _law_witness(self.chain.level(depth), self.map)
         if witness is None:
             return ConjugacyCheck(True, depth, None)
         return ConjugacyCheck(False, depth, (depth, *witness))
+
+
+def _law_witness(level: IntegerLevel, g: PLCircleMap) -> Optional[tuple]:
+    """The first vertex N with g(T[N]) != T[n*N mod M], as (N, want, got).
+
+    One pointer over the lift's pieces walks the sorted level.  Scaled by
+    the level's denominator D, the lift on a piece is (u + v*X)/q for
+    integers u, v and q, so vertex X lands on the level's lattice exactly
+    when q divides u + v*X, and on vertex Y when the quotient is Y mod r*D.
+    Fractions are formed only for the witness.
+    """
+    X, D = level.numerators, level.denominator
+    n, M = g.degree, len(X)
+    lap = g.circumference * D
+    # (start threshold, u, v, q) for the pieces from the one owning 0 to
+    # the first boundary at or past r, whose threshold stops the pointer.
+    pieces = []
+    for at, value, slope in g._lifted_boundaries(0):
+        start = at * D
+        offset = value * D - slope * start
+        q = lcm(offset.denominator, slope.denominator)
+        pieces.append((ceil(start), offset.numerator * (q // offset.denominator),
+                       slope.numerator * (q // slope.denominator), q))
+        if start >= lap:
+            break
+    j, (start, u, v, q), following = 0, pieces[0], pieces[1][0]
+    for N, x in enumerate(X):
+        if not start <= x < lap:  # only a level out of order: restart at 0
+            x %= lap
+            j, (start, u, v, q), following = 0, pieces[0], pieces[1][0]
+        while x >= following:
+            j += 1
+            (start, u, v, q), following = pieces[j], pieces[j + 1][0]
+        image, rest = divmod(u + v * x, q)
+        want = X[n * N % M]
+        if rest or image % lap != want:
+            return N, Fraction(want, D), g.evaluate(Fraction(X[N], D))
+    return None
 
 
 def equal_pairs(P: AffineMarkovPartition) -> bool:
@@ -312,8 +350,14 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
     n, p, r = conj.base, conj.interval_count, conj.circumference
     # Past the vertex budget, refuses before deriving a level.  Vertex N of
     # level t is vertex N * n**(depth - t) of this deepest level.
-    values = conj.chain.table(depth).values
-    nadic = [is_nadic(x, n) for x in values]
+    level = conj.chain.level(depth)
+    X, D = level.numerators, level.denominator
+    # x / D is base-n exactly when the part of D coprime to n divides x.
+    coprime, common = D, gcd(D, n)
+    while common > 1:
+        coprime //= common
+        common = gcd(coprime, common)
+    nadic = [x % coprime == 0 for x in X]
     subset_holds = all(nadic)
     # The source point r*N / (p*n**t) is base-n exactly when p / gcd(p, r*N)
     # is n-smooth, which depends on N mod p only.
@@ -325,7 +369,7 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
             for N in range(p * n**t):
                 if not source_nadic[N % p] and nadic[N * stride]:
                     counterexample = EqualityCounterexample(
-                        point=values[N * stride],
+                        point=Fraction(X[N * stride], D),
                         source_point=Fraction(r * N, p * n**t),
                         kind="grid-point",
                     )

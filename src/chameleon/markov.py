@@ -4,9 +4,8 @@ A partition is a cyclic sequence of positive integer weights on the
 circumference-(n-1) circle.  When every induced branch slope is a power of n
 and every cut point is a base-n fraction, the partition builds an expanding
 map conjugate to multiplication by n, and the cut points refine level by
-level: applying ``derive`` to a vertex table inserts the n-1 extra preimages
-inside each interval, and the map permutes each level's vertices by index
-multiplication.
+level: ``LevelChain`` inserts the n-1 extra preimages inside each interval,
+and the map permutes each level's vertices by index multiplication.
 """
 
 from __future__ import annotations
@@ -15,13 +14,13 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import (
     BudgetExceeded,
     ClassMismatch,
     EndpointNotNAdic,
-    NotMarkov,
     NotPowerForm,
     ParseError,
     SlopeNotPowerOfN,
@@ -235,68 +234,31 @@ class PartitionLevelTable:
         return vals[i + 1] - vals[i]
 
 
-def standard_level_table(n: int, k: int) -> PartitionLevelTable:
-    """Vertices i/n^k of the uniform base-n grid on the circle [0, n-1)."""
-    if n < 2 or k < 0:
-        raise ValueError("need base >= 2 and level >= 0")
-    count = (n - 1) * n**k
-    return PartitionLevelTable(
-        level=k,
-        values=tuple(Fraction((n - 1) * i, count) for i in range(count)),
-        circumference=n - 1,
-    )
+class IntegerLevel:
+    """One level of the vertex tower as integer numerators over one
+    denominator: vertex N is ``numerators[N] / denominator``, and the
+    circumference r is ``r * denominator``.  The ``Fraction`` table is
+    materialised on first request."""
 
+    __slots__ = ("level", "numerators", "denominator", "circumference", "_table")
 
-def derive(table: PartitionLevelTable, g: PLCircleMap) -> PartitionLevelTable:
-    """One refinement: insert the n-1 extra g-preimages inside each interval.
+    def __init__(self, level: int, numerators: tuple[int, ...], denominator: int,
+                 circumference: int) -> None:
+        self.level = level
+        self.numerators = numerators
+        self.denominator = denominator
+        self.circumference = circumference
+        self._table = None
 
-    Verifies the vertex permutation law g(T[N]) = T[n*N mod M] first and
-    refuses with the failing index when the table is not g-compatible; also
-    requires every breakpoint of g to be a table vertex already, so g is
-    affine on each interval.
-    """
-    if g.circumference != table.circumference:
-        raise ValueError("table and map live on different circles")
-    value_set = set(table.values)
-    for b in g.breakpoints:
-        if b not in value_set:
-            raise NotMarkov(f"map breaks at {b}, which is not a level-{table.level} vertex",
-                            index=-1)
-    witness = _law_witness(table, g)
-    if witness is not None:
-        N, _, got = witness
-        raise NotMarkov(f"vertex {N} maps to {got}, expected vertex "
-                        f"{(g.degree * N) % len(table)}", index=N)
-    return _refine(table, g.degree)
-
-
-def _law_witness(table: PartitionLevelTable, g: PLCircleMap) -> Optional[tuple]:
-    """The first vertex N with g(T[N]) != T[n*N mod M], as (N, want, got)."""
-    vals, M = table.values, len(table)
-    for N in range(M):
-        want, got = vals[(g.degree * N) % M], g.evaluate(vals[N])
-        if got != want:
-            return N, want, got
-    return None
-
-
-def _refine(table: PartitionLevelTable, n: int) -> PartitionLevelTable:
-    """Split each interval into n in the proportions of the n intervals its
-    branch covers; no map is consulted."""
-    vals = table.values
-    M = len(vals)
-    new_values = []
-    for N in range(M):
-        new_values.append(vals[N])
-        length = table.interval_length(N)
-        block = [table.interval_length((n * N + l) % M) for l in range(n)]
-        span = sum(block)
-        acc = Fraction(0)
-        for l in range(n - 1):
-            acc += block[l]
-            new_values.append(vals[N] + length * acc / span)
-    return PartitionLevelTable(level=table.level + 1, values=tuple(new_values),
-                               circumference=table.circumference)
+    def table(self) -> PartitionLevelTable:
+        if self._table is None:
+            D = self.denominator
+            self._table = PartitionLevelTable(
+                level=self.level,
+                values=tuple(Fraction(x, D) for x in self.numerators),
+                circumference=self.circumference,
+            )
+        return self._table
 
 
 MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
@@ -307,22 +269,33 @@ class LevelChain:
 
     Only whole-level enumerations need it; single vertices come from the
     inverse-branch descent of ``vertex_value``.  Each level is refined from
-    the last by the partition alone; as the partition's map is affine on
-    each interval, the new vertices are exactly the preimages of the
-    vertices it covers, so the vertex law holds by construction.  Levels
-    past the vertex budget are refused before anything is derived.
+    the last by the partition alone: the branch over cut interval i has
+    slope block_i / w_i, so splitting a level-k interval in the proportions
+    of the n intervals its branch covers puts the new vertices exactly at
+    the preimages of the vertices it covers, and the vertex law holds by
+    construction.  With A = lcm(block_i / gcd(block_i, w_i)) and W the total
+    weight, level k is kept as integer numerators over W*A^k, and a new
+    vertex on cut interval i is v*A + acc*c_i, where c_i = A*w_i/block_i and
+    acc sums the covered level-k lengths.  Levels past the vertex budget are
+    refused before anything is refined.
     """
 
     def __init__(self, partition: AffineMarkovPartition):
         self.partition = partition
-        base_table = PartitionLevelTable(
-            level=0, values=partition.endpoints,
-            circumference=partition.circumference,
-        )
-        self._tables = [base_table]
+        n, p, w = partition.base, partition.interval_count, partition.lengths
+        blocks = [sum(w[(n * i + l) % p] for l in range(n)) for i in range(p)]
+        scale = lcm(*(b // gcd(b, v) for b, v in zip(blocks, w)))
+        self._scale = scale
+        self._factors = tuple(scale * v // b for b, v in zip(blocks, w))
+        r, acc, numerators = partition.circumference, 0, []
+        for v in w:
+            numerators.append(r * acc)
+            acc += v
+        self._tables = [IntegerLevel(0, tuple(numerators), partition.total_weight, r)]
         self._lock = threading.Lock()
 
-    def table(self, depth: int) -> PartitionLevelTable:
+    def level(self, depth: int) -> IntegerLevel:
+        """The level-``depth`` vertices as integers over one denominator."""
         if depth < 0:
             raise ValueError("refinement depth must be nonnegative")
         count = self.partition.interval_count * self.partition.base**depth
@@ -333,8 +306,37 @@ class LevelChain:
             )
         with self._lock:
             while len(self._tables) <= depth:
-                self._tables.append(_refine(self._tables[-1], self.partition.base))
+                self._tables.append(self._refine(self._tables[-1]))
             return self._tables[depth]
+
+    def table(self, depth: int) -> PartitionLevelTable:
+        level = self.level(depth)
+        with self._lock:
+            return level.table()
+
+    def _refine(self, level: IntegerLevel) -> IntegerLevel:
+        """Level k+1 from level k: vertex N of level k lies on cut interval
+        N // n^k, and its interval's branch covers the level-k intervals
+        n*N, ..., n*N + n - 1 (mod M)."""
+        X, A, n = level.numerators, self._scale, self.partition.base
+        M, stride = len(X), n**level.level
+        lengths = [b - a for a, b in zip(X, X[1:])]
+        lengths.append(level.circumference * level.denominator + X[0] - X[-1])
+        # The covered intervals run on past M - 1; as M >= n - 1, at most
+        # one lap on.
+        lengths += lengths[:n]
+        refined = []
+        append = refined.append
+        for i, c in enumerate(self._factors):
+            for N in range(i * stride, (i + 1) * stride):
+                x = X[N] * A
+                append(x)
+                j = n * N % M
+                for length in lengths[j:j + n - 1]:
+                    x += c * length
+                    append(x)
+        return IntegerLevel(level.level + 1, tuple(refined), level.denominator * A,
+                            level.circumference)
 
 
 @dataclass(frozen=True)

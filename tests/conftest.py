@@ -124,6 +124,26 @@ def subdivision_conjugate(seed: int, n: int, splits: int = 3):
     return h, g, partition
 
 
+def corpus_partition(key: str, examples, random_conjugate_factory) -> AffineMarkovPartition:
+    """The partition a corpus key names: ``example <id>``, ``factory <seed>``,
+    ``subdivision <base> <seed>``, ``uniform <base>`` (the p = n - 1
+    partition, whose branches cover the circle more than once) or
+    ``weights <base> <w,w,...>``."""
+    kind, *args = key.split()
+    if kind == "example":
+        return examples[args[0]][0]
+    if kind == "factory":
+        return random_conjugate_factory(int(args[0]))[2]
+    if kind == "subdivision":
+        return subdivision_conjugate(int(args[1]), int(args[0]))[2]
+    if kind == "uniform":
+        n = int(args[0])
+        return AffineMarkovPartition(n, [1] * (n - 1))
+    if kind == "weights":
+        return AffineMarkovPartition(int(args[0]), [int(w) for w in args[1].split(",")])
+    raise ValueError(f"unknown corpus key {key!r}")
+
+
 @pytest.fixture(scope="session")
 def random_conjugate_factory():
     """Factory for (h, g, partition) triples built from random conjugators."""

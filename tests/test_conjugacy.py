@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rescaled_level_partition, subdivision_conjugate
+from conftest import corpus_partition, rescaled_level_partition, subdivision_conjugate
+from level_oracles import law_witness
 
 from chameleon import conjugacy, markov
 from chameleon.conjugacy import (
@@ -39,8 +40,8 @@ from chameleon.golden import example_ids, load_example
 from chameleon.interpolate import random_dyadic_homeomorphism
 from chameleon.markov import (
     AffineMarkovPartition,
+    IntegerLevel,
     LevelChain,
-    PartitionLevelTable,
     VertexRef,
     build_expanding_map,
     interval_length_at,
@@ -174,6 +175,14 @@ class TestEnclosure:
             conj.enclosure(F(1, 7), F(1, 2**12))
 
 
+def tampered(level, index, value):
+    """A copy of an integer level with one numerator replaced."""
+    numerators = list(level.numerators)
+    numerators[index] = value
+    return IntegerLevel(level.level, tuple(numerators), level.denominator,
+                        level.circumference)
+
+
 class TestConjugacyLaw:
     @pytest.mark.parametrize("example_id", example_ids())
     def test_examples_satisfy_the_law(self, examples, example_id):
@@ -194,17 +203,15 @@ class TestConjugacyLaw:
         partition, _, _ = examples["2"]
         conj = Conjugator(partition)
         chain = conj.chain
-        table = chain.table(2)
-        values = list(table.values)
-        values[5] = (values[5] + values[6]) / 2
+        level = chain.level(2)
+        X = level.numerators
         with chain._lock:
-            chain._tables[2] = PartitionLevelTable(
-                level=2, values=tuple(values), circumference=table.circumference
-            )
-        # The check reads only the deepest table; level 3 refines the tampered
-        # level 2, so the fault shows on both.
+            chain._tables[2] = tampered(level, 5, (X[5] + X[6]) // 2)
+        # The check reads only the deepest level.  Level 3 refines the
+        # tampered level 2 by the partition's slope ratios, so the tampered
+        # vertex carries over as vertex 10 and is the first to fail there.
         for depth, witness in ((2, (2, 5, F(9, 16), F(19, 32))),
-                               (3, (3, 9, F(17, 32), F(35, 64)))):
+                               (3, (3, 10, F(9, 16), F(19, 32)))):
             outcome = conj.check(depth)
             assert not outcome.passed
             assert outcome.witness == witness
@@ -229,12 +236,84 @@ class TestConjugacyLaw:
         conj.chain.table(5)
         assert len(calls) == 0  # refining consults no map
         assert conj.check(5).passed
-        assert len(calls) == 16 * 2**5
+        assert len(calls) == 0  # the sweep reads the lift's pieces directly
+        level = conj.chain.level(5)
+        with conj.chain._lock:
+            conj.chain._tables[5] = tampered(level, 7, level.numerators[7] + 1)
+        outcome = conj.check(5)
+        assert not outcome.passed and outcome.witness[1] == 7
+        assert len(calls) == 1  # only the witness evaluates the map
 
     def test_depth_validation(self, examples):
         partition, _, _ = examples["1"]
         with pytest.raises(ValueError):
             Conjugator(partition).check(-1)
+
+
+SWEEP_CORPUS = (
+    *(f"example {i}" for i in example_ids()),
+    *(f"factory {seed}" for seed in range(6)),
+    *(f"subdivision {n} 0" for n in (2, 3, 5)),
+    "uniform 2", "uniform 3", "uniform 4",
+)
+
+
+class TestLawSweep:
+    """``Conjugator.check`` sweeps the lift's pieces once over an integer
+    level; the per-vertex ``Fraction`` law check is the oracle."""
+
+    @pytest.mark.parametrize("key", SWEEP_CORPUS)
+    def test_passing_towers_match_the_oracle(self, examples, random_conjugate_factory,
+                                             key):
+        partition = corpus_partition(key, examples, random_conjugate_factory)
+        conj = Conjugator(partition)
+        n, p = partition.base, partition.interval_count
+        for depth in range(5):
+            if depth and p * n**depth > 2048:
+                break
+            assert conjugacy._law_witness(conj.chain.level(depth), conj.map) is None
+            assert law_witness(conj.chain.table(depth).values, conj.map) is None
+
+    @pytest.mark.parametrize("key", SWEEP_CORPUS)
+    def test_tampered_levels_match_the_oracle(self, examples, random_conjugate_factory,
+                                              key):
+        partition = corpus_partition(key, examples, random_conjugate_factory)
+        conj = Conjugator(partition)
+        g = conj.map
+        n, p = partition.base, partition.interval_count
+        depth = max(d for d in range(4) if p * n**d <= 2048 or d == 0)
+        level = conj.chain.level(depth)
+        X, D = level.numerators, level.denominator
+        M, lap = len(X), partition.circumference * D
+        cases = [
+            (0, 1), (0, -1),  # vertex 0, and a point off the circle below it
+            (M - 1, X[-1] + 1), (M - 1, X[-1] - 1), (M - 1, lap),  # the wrap
+            (M // 2, X[M // 4]),  # out of order
+        ]
+        # Either side of each boundary of g, and the next vertex, which no
+        # vertex maps onto: on a piece of slope below 1 its image falls
+        # between two lattice points, and only its own check sees it.
+        breaks = set(g.breakpoints)
+        for N, x in enumerate(X):
+            if F(x, D) in breaks:
+                cases += [(N, x - 1), (N, x + 1), (N + 1, X[N + 1] + 1)]
+        for index, value in cases:
+            bad = tampered(level, index, value)
+            witness = conjugacy._law_witness(bad, g)
+            assert witness is not None
+            assert witness == law_witness([F(x, D) for x in bad.numerators], g)
+        # Vertex M - 1 moved back to another preimage of its image: no vertex
+        # maps onto it, so the law still holds on a level out of order.
+        bad = tampered(level, M - 1, X[M - 1 - M // n])
+        assert conjugacy._law_witness(bad, g) is None
+        assert law_witness([F(x, D) for x in bad.numerators], g) is None
+        # A random value may be another preimage of the same image, which
+        # the law cannot see; the two checks must still agree.
+        rng = random.Random(key)
+        for _ in range(10):
+            bad = tampered(level, rng.randrange(M), rng.randrange(lap))
+            assert conjugacy._law_witness(bad, g) == law_witness(
+                [F(x, D) for x in bad.numerators], g)
 
 
 DESCENT_DEPTH = 6
@@ -252,16 +331,7 @@ def descent_corpus(examples, random_conjugate_factory):
     """key -> (partition, LevelChain): the tables are the descent's oracle."""
     corpus = {}
     for key in DESCENT_CORPUS:
-        kind, *args = key.split()
-        if kind == "example":
-            partition = examples[args[0]][0]
-        elif kind == "factory":
-            partition = random_conjugate_factory(int(args[0]))[2]
-        elif kind == "subdivision":
-            partition = subdivision_conjugate(int(args[1]), int(args[0]))[2]
-        else:
-            n = int(args[0])
-            partition = AffineMarkovPartition(n, [1] * (n - 1))
+        partition = corpus_partition(key, examples, random_conjugate_factory)
         corpus[key] = (partition, LevelChain(partition))
     return corpus
 

@@ -24,17 +24,16 @@ from chameleon.markov import (
     LevelChain,
     VertexRef,
     build_expanding_map,
-    derive,
     fixed_point_class,
     interval_length_at,
     natural_level,
     natural_slope,
     reduce_ref,
     stable_level,
-    standard_level_table,
     vertex_value,
 )
-from conftest import circle_map_data, subdivision_conjugate
+from conftest import circle_map_data, corpus_partition, subdivision_conjugate
+from level_oracles import derive, refine, standard_level_table
 
 F = Fraction
 
@@ -275,6 +274,36 @@ class TestLevelTables:
         for t in threads:
             t.join()
         assert all(r is results[0] for r in results)
+
+
+REFINEMENT_CORPUS = (
+    *(f"example {i}" for i in example_ids()),
+    *(f"factory {seed}" for seed in range(20)),
+    *(f"subdivision {n} 0" for n in range(2, 6)),
+    "uniform 2", "uniform 3", "uniform 4",
+    # Slopes 3, 2 and 5/3, none a power of 2: no map, but the chain refines.
+    "weights 2 1,2,3",
+)
+
+
+class TestIntegerRefinement:
+    """``LevelChain`` refines integer numerators by the partition's slope
+    ratios; the ``Fraction`` refinement, which measures each level's own
+    proportions, is the oracle."""
+
+    @pytest.mark.parametrize("key", REFINEMENT_CORPUS)
+    def test_levels_match_the_fraction_refinement(self, examples,
+                                                  random_conjugate_factory, key):
+        partition = corpus_partition(key, examples, random_conjugate_factory)
+        n, p = partition.base, partition.interval_count
+        chain = LevelChain(partition)
+        table = chain.table(0)
+        assert table.values == partition.endpoints
+        for depth in range(1, 6):
+            if p * n**depth > 4096:
+                break
+            table = refine(table, n)
+            assert chain.table(depth) == table
 
 
 class TestVertexAlgebra:
