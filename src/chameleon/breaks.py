@@ -101,22 +101,21 @@ def _break_sums(g: PLCircleMap, points, n: int,
     return walk(points)
 
 
-def _cut_walker(g: PLCircleMap, P: AffineMarkovPartition):
-    """Break sums at cut points of P named by index, sharing one memo.
+def _cut_walker(P: AffineMarkovPartition):
+    """The map g of P, and break sums at cut points of P named by index,
+    sharing one memo.
 
-    The map of P sends cut c to cut n*c mod p, and its break at cut c is
-    E[c] - E[c-1] for the slope exponents E, so the sums are integer walks on
-    Z/p.  Refuses with ValueError unless g is the map that
-    ``build_expanding_map(P)`` returns; refusals name cuts by their endpoints.
+    g sends cut c to cut n*c mod p, and its break at cut c is E[c] - E[c-1]
+    for the slope exponents E, so the sums are integer walks on Z/p.
+    Building g refuses first; refusals of the walk name cuts by their
+    endpoints.
     """
-    rebuilt, report = build_expanding_map(P)
-    if rebuilt != g:
-        raise ValueError("g must be the map build_expanding_map(P) returns")
+    g, report = build_expanding_map(P)
     n, p, E = P.base, P.interval_count, report.slope_exponents
     weights = [E[c] - E[c - 1] for c in range(p)]
     known: dict[int, tuple[int, int]] = {}
-    return lambda cuts: _orbit_sums(g, cuts, lambda c: n * c % p, weights.__getitem__,
-                                    known, P.endpoints.__getitem__)
+    return g, lambda cuts: _orbit_sums(g, cuts, lambda c: n * c % p, weights.__getitem__,
+                                       known, P.endpoints.__getitem__)
 
 
 def iterated_break_sum(g: PLCircleMap, x, max_steps: int = 4096,
@@ -189,19 +188,19 @@ class BreakSumTable:
         return tuple((i, self.stable_level, v) for i, v in self.entries)
 
 
-def break_sum_table(g: PLCircleMap, P: AffineMarkovPartition) -> BreakSumTable:
+def break_sum_table(P: AffineMarkovPartition) -> BreakSumTable:
     """Break sums at all newest stable-level vertices of the partition.
 
-    ``g`` must be the map ``build_expanding_map(P)`` returns; any other map is
-    refused with ValueError.  Requires the power form (otherwise the stable
-    level does not exist) and finite sums at every one of those vertices;
-    divergence refusals propagate.
+    Requires the map of P, so ``build_expanding_map``'s refusals come first;
+    then the power form (otherwise the stable level does not exist) and
+    finite sums at every one of those vertices; divergence refusals
+    propagate.
     """
+    _, walk = _cut_walker(P)
     K = stable_level(P)
-    n = P.base
     if K == 0:
-        return BreakSumTable(base=n, stable_level=K, entries=())
-    return _table(P, K, _cut_walker(g, P))
+        return BreakSumTable(base=P.base, stable_level=K, entries=())
+    return _table(P, K, walk)
 
 
 def _table(P: AffineMarkovPartition, K: int, walk) -> BreakSumTable:
@@ -250,7 +249,7 @@ def orbit_merge_violations(g: PLCircleMap, P: AffineMarkovPartition,
     n = P.base
     # Level 0 holds the cut points, or the n - 1 grid points in power form.
     count = P.interval_count if P.power_exponent is None else n - 1
-    points = [vertex_value(P, g, VertexRef(i, level_bound))
+    points = [vertex_value(P, VertexRef(i, level_bound))
               for i in range(count * n**level_bound)]
     walks = [orbit(g, x).points for x in points]
     firsts = [{q: j for j, q in enumerate(w)} for w in walks]
@@ -343,7 +342,9 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     if P.base != 2:
         raise ValueError("the piecewise-linearity decision is specific to base 2")
     K = stable_level(P)
-    walk = _cut_walker(g, P)
+    built, walk = _cut_walker(P)
+    if built != g:
+        raise ValueError("g must be the map build_expanding_map(P) returns")
     table = _table(P, K, walk)
     if not table.is_constant:
         seq = table.entries
@@ -408,9 +409,8 @@ class Discrepancy:
     right_value: int
 
 
-def find_break_sum_discrepancy(g: PLCircleMap, P: AffineMarkovPartition,
-                               left: VertexRef, right: VertexRef,
-                               pad: int = 1,
+def find_break_sum_discrepancy(P: AffineMarkovPartition, left: VertexRef,
+                               right: VertexRef, pad: int = 1,
                                table: Optional[BreakSumTable] = None
                                ) -> Optional[Discrepancy]:
     """Search the stable-level offsets for a break-sum disagreement between
@@ -427,7 +427,7 @@ def find_break_sum_discrepancy(g: PLCircleMap, P: AffineMarkovPartition,
     if pad < 1:
         raise ValueError("pad must be at least 1")
     if table is None:
-        table = break_sum_table(g, P)
+        table = break_sum_table(P)
     K = table.stable_level
     left, right = reduce_ref(left, 2), reduce_ref(right, 2)
     for ref in (left, right):
@@ -446,7 +446,7 @@ def find_break_sum_discrepancy(g: PLCircleMap, P: AffineMarkovPartition,
         if va != vb:
             return Discrepancy(
                 offset=i,
-                point=vertex_value(P, g, left_ref),
+                point=vertex_value(P, left_ref),
                 left_value=va, right_value=vb,
             )
     return None

@@ -101,9 +101,9 @@ def _cmd_validate(args, partition: AffineMarkovPartition) -> Tuple[RunReport, in
     report.outputs["interval count"] = str(partition.interval_count)
     report.outputs["unit"] = _fmt(partition.unit)
     report.outputs["circumference"] = _fmt(partition.circumference)
-    report.outputs["degree"] = str(build.degree)
+    report.outputs["degree"] = str(g.degree)
     report.outputs["endpoints"] = _fmt_seq(partition.endpoints)
-    report.outputs["slopes"] = _fmt_seq(build.slopes)
+    report.outputs["slopes"] = _fmt_seq(partition.slopes)
     report.outputs["break values"] = " ".join(
         f"{_fmt(point)}:{value}" for point, value in build.break_values
     )
@@ -115,8 +115,7 @@ def _cmd_validate(args, partition: AffineMarkovPartition) -> Tuple[RunReport, in
 def _cmd_sigma(args, partition: AffineMarkovPartition) -> Tuple[RunReport, int]:
     report = RunReport("partition sigma")
     _echo_partition(report, args.file, partition)
-    g, _ = build_expanding_map(partition)
-    table = break_sum_table(g, partition)
+    table = break_sum_table(partition)
     report.outputs["stable level"] = str(table.stable_level)
     report.outputs["indices"] = " ".join(str(i) for i, _, _ in table.as_records())
     report.outputs["values"] = " ".join(str(v) for _, _, v in table.as_records())

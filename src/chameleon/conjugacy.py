@@ -114,19 +114,14 @@ class Conjugator:
     def __init__(self, partition: AffineMarkovPartition,
                  max_depth: Optional[int] = None):
         self.partition = partition
-        g, report = build_expanding_map(partition)
-        self.map = g
-        self.report = report
-        self.base = partition.base
-        self.circumference = partition.circumference
-        self.interval_count = partition.interval_count
+        self.map, _ = build_expanding_map(partition)
         self.max_depth = default_memo_depth() if max_depth is None else max_depth
         self.chain = LevelChain(partition)
 
     def source_vertex(self, index: int, depth: int) -> Fraction:
         """The source-circle grid point paired with vertex (index, depth)."""
-        p, n, r = self.interval_count, self.base, self.circumference
-        return Fraction(r * index, p * n**depth)
+        P = self.partition
+        return Fraction(P.circumference * index, P.interval_count * P.base**depth)
 
     def evaluate(self, q) -> Fraction:
         """Exact image of a source grid point.
@@ -135,7 +130,8 @@ class Conjugator:
         at any depth, and with BudgetExceeded when it first appears beyond
         the depth budget.
         """
-        n, p, r = self.base, self.interval_count, self.circumference
+        P = self.partition
+        n, p, r = P.base, P.interval_count, P.circumference
         q = reduce_to_circle(as_fraction(q), r)
         grid = to_nadic(q * p / r, n)  # source index over n**depth
         if grid is None:
@@ -149,19 +145,20 @@ class Conjugator:
                 f"{self.max_depth}",
                 limit=self.max_depth,
             )
-        return _descend(self.partition, grid.mantissa, grid.exponent)
+        return _descend(P, grid.mantissa, grid.exponent)
 
     def inverse_value(self, x) -> Fraction:
         """The source grid point mapped to a vertex x, searching all depths
         within budget; refuses with NotAVertex otherwise.  Each step of g
         lowers the depth by one, and its lift's laps past r are the source
         index's base-n digits."""
-        n, p, r = self.base, self.interval_count, self.circumference
+        P = self.partition
+        n, p, r = P.base, P.interval_count, P.circumference
         x = reduce_to_circle(as_fraction(x), r)
         if not is_nadic(x, n):
             raise NotAVertex(f"{x} is not a base-{n} fraction, so not a vertex",
                              point=x)
-        cuts = {e: j for j, e in enumerate(self.partition.endpoints)}
+        cuts = {e: j for j, e in enumerate(P.endpoints)}
         digits, y = 0, x
         for depth in range(self.max_depth + 1):
             if y in cuts:
@@ -175,7 +172,8 @@ class Conjugator:
     def enclosure(self, q, width) -> Enclosure:
         """Nested vertex brackets around the image of any circle point,
         refined until the bracket is at most the requested width."""
-        n, p, r = self.base, self.interval_count, self.circumference
+        P = self.partition
+        n, p, r = P.base, P.interval_count, P.circumference
         q = reduce_to_circle(as_fraction(q), r)
         width = as_fraction(width)
         if width <= 0:
@@ -187,8 +185,7 @@ class Conjugator:
             best = Enclosure(
                 depth=depth,
                 source=(Fraction(r * index, count), Fraction(r * (index + 1), count)),
-                image=(_descend(self.partition, index, depth),
-                       _descend(self.partition, index + 1, depth)),
+                image=(_descend(P, index, depth), _descend(P, index + 1, depth)),
             )
             if best.width <= width:
                 return best
@@ -347,7 +344,8 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
     the base-n points (every non-fixed short-period point of plain
     multiplication is).
     """
-    n, p, r = conj.base, conj.interval_count, conj.circumference
+    P = conj.partition
+    n, p, r = P.base, P.interval_count, P.circumference
     # Past the vertex budget, refuses before deriving a level.  Vertex N of
     # level t is vertex N * n**(depth - t) of this deepest level.
     level = conj.chain.level(depth)

@@ -65,6 +65,8 @@ def is_smooth(d: int, n: int) -> bool:
 
 def power_exponent(q, n: int) -> int | None:
     """Return k with q == n**k, or None when q is not an integral power of n."""
+    if n < 2:
+        raise ValueError("base must be at least 2")
     q = as_fraction(q)
     if q <= 0:
         return None
@@ -84,6 +86,8 @@ def power_exponent(q, n: int) -> int | None:
 
 def trailing_zeros(i: int, n: int) -> int:
     """Number of trailing base-n zero digits of a nonzero integer."""
+    if n < 2:
+        raise ValueError("base must be at least 2")
     if i == 0:
         raise ValueError("trailing_zeros is undefined at zero")
     i = abs(i)

@@ -110,9 +110,9 @@ def _fmt_pairs(pairs) -> str:
     return " ".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in pairs)
 
 
-def _sigma_outcome(g, partition) -> str:
+def _sigma_outcome(partition) -> str:
     try:
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
     except NotPowerForm:
         return "refusal not_power_form"
     except DivergentFixedPoint as err:
@@ -153,10 +153,10 @@ def run_example(example_id: str) -> ExampleReport:
     def add(name: str, expected: str, actual: str) -> None:
         checks.append(Check(name, expected, actual))
 
-    add("degree", _fmt(record["degree"]), _fmt(build.degree))
+    add("degree", _fmt(record["degree"]), _fmt(g.degree))
     add("power form", _fmt(record["power_form"]), _fmt(partition.is_power_form))
     add("endpoints", " ".join(record["endpoints"]), _fmt_seq(partition.endpoints))
-    add("slopes", " ".join(record["slopes"]), _fmt_seq(build.slopes))
+    add("slopes", " ".join(record["slopes"]), _fmt_seq(partition.slopes))
     add(
         "break values",
         _fmt_pairs(record["break_values"]),
@@ -180,7 +180,7 @@ def run_example(example_id: str) -> ExampleReport:
         expected = f"refusal {refusal['kind']}"
         if refusal["kind"] == "divergent_fixed_point":
             expected += f" point={refusal['point']} break={_fmt(refusal['break'])}"
-    add("break sums", expected, _sigma_outcome(g, partition))
+    add("break sums", expected, _sigma_outcome(partition))
 
     if "iterated_divergence" in record:
         spec = record["iterated_divergence"]

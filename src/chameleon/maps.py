@@ -794,8 +794,11 @@ def map_from_dict(data: dict):
     try:
         space = data["space"]
         if space == "circle":
-            r = int(data["circumference"])
-            d = int(data["degree"])
+            r, d = data["circumference"], data["degree"]
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in (r, d)):
+                raise ParseError(
+                    "malformed map description: circumference and degree must be integers"
+                )
             pieces = data["pieces"]
             if not pieces:
                 raise ParseError("malformed map description: a circle map needs pieces")

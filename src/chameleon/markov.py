@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
 
 from .errors import (
     BudgetExceeded,
@@ -33,7 +32,7 @@ class AffineMarkovPartition:
     """Cyclic integer weights cutting the circumference-(base-1) circle."""
 
     __slots__ = ("base", "lengths", "interval_count", "total_weight", "unit",
-                 "circumference", "endpoints", "slopes", "power_exponent",
+                 "circumference", "endpoints", "blocks", "slopes", "power_exponent",
                  "_break_indices")
 
     def __init__(self, base: int, lengths) -> None:
@@ -62,8 +61,11 @@ class AffineMarkovPartition:
             cuts.append(unit * acc)
             acc += v
         object.__setattr__(self, "endpoints", tuple(cuts))
-        blocks = [sum(lengths[(base * i + l) % p] for l in range(base))
-                  for i in range(p)]
+        # Block i is the total weight of the base-many intervals that the
+        # branch over interval i stretches across.
+        blocks = tuple(sum(lengths[(base * i + l) % p] for l in range(base))
+                       for i in range(p))
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "slopes", tuple(
             Fraction(block, v) for block, v in zip(blocks, lengths)))
         # Slope i = block_i / w_i differs from slope i-1 exactly when the
@@ -141,18 +143,12 @@ class AffineMarkovPartition:
 
 @dataclass(frozen=True)
 class BuildReport:
-    """Everything the expanding-map construction established on the way."""
+    """What the expanding-map construction established beyond the partition:
+    the base-n exponent of each branch slope, and the break value at each cut
+    where the slope changes."""
 
-    base: int
-    interval_count: int
-    unit: Fraction
-    endpoints: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
     slope_exponents: tuple[int, ...]
     break_values: tuple[tuple[Fraction, int], ...]
-    degree: int
-    is_power_form: bool
-    power_exponent: Optional[int]
 
 
 def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildReport]:
@@ -196,19 +192,7 @@ def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildRep
     for i in break_indices:
         e = exponents[i] - exponents[(i - 1) % p]
         breaks.append((P.endpoints[i], e))
-    report = BuildReport(
-        base=n,
-        interval_count=p,
-        unit=P.unit,
-        endpoints=P.endpoints,
-        slopes=P.slopes,
-        slope_exponents=tuple(exponents),
-        break_values=tuple(breaks),
-        degree=n,
-        is_power_form=P.is_power_form,
-        power_exponent=P.power_exponent,
-    )
-    return g, report
+    return g, BuildReport(slope_exponents=tuple(exponents), break_values=tuple(breaks))
 
 
 @dataclass(frozen=True)
@@ -282,8 +266,7 @@ class LevelChain:
 
     def __init__(self, partition: AffineMarkovPartition):
         self.partition = partition
-        n, p, w = partition.base, partition.interval_count, partition.lengths
-        blocks = [sum(w[(n * i + l) % p] for l in range(n)) for i in range(p)]
+        blocks, w = partition.blocks, partition.lengths
         scale = lcm(*(b // gcd(b, v) for b, v in zip(blocks, w)))
         self._scale = scale
         self._factors = tuple(scale * v // b for b, v in zip(blocks, w))
@@ -298,11 +281,16 @@ class LevelChain:
         """The level-``depth`` vertices as integers over one denominator."""
         if depth < 0:
             raise ValueError("refinement depth must be nonnegative")
-        count = self.partition.interval_count * self.partition.base**depth
-        if count > MAX_TABLE_VERTICES:
+        limit, p, n = MAX_TABLE_VERTICES, self.partition.interval_count, self.partition.base
+        # A level of at least 2**(2*b) vertices, b the budget's bit length, is
+        # refused without forming its count: that takes seconds at depth 10**9,
+        # and has too many digits to print from depth ~14,300 in base 2.  As
+        # n**depth >= 2**(depth * (n.bit_length() - 1)), the depth tells.
+        deep = depth * (n.bit_length() - 1) >= 2 * limit.bit_length()
+        if deep or p * n**depth > limit:
+            count = f"{p}*{n}**{depth}" if deep else p * n**depth
             raise BudgetExceeded(
-                f"level {depth} has {count} vertices, budget is {MAX_TABLE_VERTICES}",
-                limit=MAX_TABLE_VERTICES,
+                f"level {depth} has {count} vertices, budget is {limit}", limit=limit,
             )
         with self._lock:
             while len(self._tables) <= depth:
@@ -406,14 +394,14 @@ def _source_index(P: AffineMarkovPartition, index: int, level: int) -> tuple[int
     return index * P.base**max(m - level, 0), max(level - m, 0)
 
 
-def vertex_value(P: AffineMarkovPartition, g: PLCircleMap, ref: VertexRef) -> Fraction:
+def vertex_value(P: AffineMarkovPartition, ref: VertexRef) -> Fraction:
     """The circle point a vertex reference names.
 
     For power-form partitions, level k indexes the (base-1)*n^k vertices of
     the k-th refinement of the base grid: levels up to the power exponent
     stride through the cut points.  For other partitions, level counts
     refinements of the cut points directly.  The value is read off P by
-    inverse-branch descent; ``g``, the map P builds, is not consulted.
+    inverse-branch descent.
     """
     n = P.base
     ref = reduce_ref(ref, n)
@@ -426,8 +414,7 @@ def vertex_value(P: AffineMarkovPartition, g: PLCircleMap, ref: VertexRef) -> Fr
     return _descend(P, *_source_index(P, i, k))
 
 
-def interval_length_at(P: AffineMarkovPartition, g: PLCircleMap, level: int,
-                       index: int) -> Fraction:
+def interval_length_at(P: AffineMarkovPartition, level: int, index: int) -> Fraction:
     """Length of the level interval starting at the given vertex index, which
     is taken modulo the level's vertex count; read off P like vertex_value."""
     if level < 0:
@@ -458,8 +445,7 @@ def stable_level(P: AffineMarkovPartition) -> int:
     return best
 
 
-def natural_slope(P: AffineMarkovPartition, g: PLCircleMap, a: VertexRef,
-                  c: VertexRef) -> Fraction:
+def natural_slope(P: AffineMarkovPartition, a: VertexRef, c: VertexRef) -> Fraction:
     """Ratio of stable-level interval lengths at two vertices of one grid
     class — the derivative the partition's conjugator must have if it moves
     vertex a to vertex c."""
@@ -475,6 +461,6 @@ def natural_slope(P: AffineMarkovPartition, g: PLCircleMap, a: VertexRef,
             f"vertices lie in different grid classes {ca} and {cc} mod {n - 1}",
             left=ca, right=cc,
         )
-    la = interval_length_at(P, g, a.level + K, a.index * n**K)
-    lc = interval_length_at(P, g, c.level + K, c.index * n**K)
+    la = interval_length_at(P, a.level + K, a.index * n**K)
+    lc = interval_length_at(P, c.level + K, c.index * n**K)
     return lc / la

@@ -93,13 +93,13 @@ def expect(failures: list, condition: bool, label: str) -> None:
         failures.append(label)
 
 
-def level_vertices(partition, g, level):
+def level_vertices(partition, level):
     n = partition.base
     if partition.power_exponent is not None:
         span = (n - 1) * n**level
     else:
         span = partition.interval_count * n**level
-    return [vertex_value(partition, g, VertexRef(i, level))
+    return [vertex_value(partition, VertexRef(i, level))
             for i in range(span)]
 
 
@@ -125,13 +125,13 @@ def random_circle_map(rng, invertible=False):
 def test_criterion_01(examples):
     partition, g, build = examples["1"]
     with criterion(1, "first bundled partition: slopes, breaks, sums, verdicts") as bad:
-        expect(bad, list(build.slopes[:5]) == [2, 2, 2, 2, 1],
+        expect(bad, list(partition.slopes[:5]) == [2, 2, 2, 2, 1],
                "slopes on the first five intervals")
         expect(bad, dict(build.break_values) == {
             F(1, 4): -1, F(3, 8): 1, F(7, 16): 1, F(1, 2): -1,
         }, "break values")
         expect(bad, stable_level(partition) == 4, "stable level")
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         expect(bad, table.sequence() == (-2, 0, -1, -1, -2, 0, -2, -1),
                "vertex break sums")
         expect(bad, equal_pairs(partition) is False, "pairing verdict")
@@ -175,7 +175,7 @@ def test_criterion_04(examples):
     partition, g, _ = examples["4"]
     with criterion(4, "fourth bundled partition: divergent fixed point, zero total") as bad:
         try:
-            break_sum_table(g, partition)
+            break_sum_table(partition)
             bad.append("sum table unexpectedly defined")
         except DivergentFixedPoint:
             pass
@@ -228,20 +228,20 @@ def test_criterion_06(examples):
                 start = 0  # no stable level exists; start from the base level
             for level in range(start, start + 4):
                 total = sum(break_value(g, p)
-                            for p in level_vertices(partition, g, level))
+                            for p in level_vertices(partition, level))
                 expect(bad, total == 0,
                        f"zero total at level {level} of partition {example_id}")
 
         for example_id in ("1", "3"):
             partition, g, _ = examples[example_id]
             deep = stable_level(partition) + 3
-            expect(bad, coboundary_check(g, level_vertices(partition, g, deep)),
+            expect(bad, coboundary_check(g, level_vertices(partition, deep)),
                    f"step-difference identity on partition {example_id}")
         # The second partition's sums diverge on one two-cycle; the identity
         # is checked at every level-3 vertex where both sides are defined.
         partition, g, _ = examples["2"]
         defined = 0
-        for x in level_vertices(partition, g, 3):
+        for x in level_vertices(partition, 3):
             try:
                 difference = (iterated_break_sum(g, x)
                               - iterated_break_sum(g, g.evaluate(x)))
@@ -306,7 +306,7 @@ def test_criterion_09(examples, random_conjugate_factory):
                    f"law violations at length {length}")
 
         partition, g, _ = examples["1"]
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         K = table.stable_level
         anchors = [VertexRef(i, level)
                    for level in (K, K + 1) for i in range(1, 2**level, 2)]
@@ -315,7 +315,7 @@ def test_criterion_09(examples, random_conjugate_factory):
             for right in anchors:
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
-                        g, partition, left, right, pad=pad,
+                        partition, left, right, pad=pad,
                         table=table)
                     if hit is None or hit.left_value == hit.right_value:
                         missed += 1
@@ -324,13 +324,13 @@ def test_criterion_09(examples, random_conjugate_factory):
 
         for seed in (0, 1, 2):
             _, g2, partition2 = random_conjugate_factory(seed)
-            table2 = break_sum_table(g2, partition2)
+            table2 = break_sum_table(partition2)
             expect(bad, table2.is_constant, f"round trip {seed} not constant")
             K2 = table2.stable_level
             for left in (VertexRef(1, K2 + 1), VertexRef(max(1, 2**K2 - 1), max(K2, 1))):
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
-                        g2, partition2, left, left, pad=pad,
+                        partition2, left, left, pad=pad,
                         table=table2)
                     expect(bad, hit is None,
                            f"spurious discrepancy on round trip {seed}")

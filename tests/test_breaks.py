@@ -29,6 +29,7 @@ from chameleon.errors import (
     DivergentFixedPoint,
     NotPowerForm,
     RefusalError,
+    SlopeNotPowerOfN,
 )
 from chameleon.exact import as_fraction
 from chameleon.golden import load_example
@@ -47,14 +48,14 @@ from chameleon.markov import (
 F = Fraction
 
 
-def vertices_at_level(partition, g, level):
+def vertices_at_level(partition, level):
     """Every distinct vertex reference value at the given refinement level."""
     n = partition.base
     if partition.power_exponent is not None:
         span = (n - 1) * n**level
     else:
         span = partition.interval_count * n**level
-    return [vertex_value(partition, g, VertexRef(i, level))
+    return [vertex_value(partition, VertexRef(i, level))
             for i in range(span)]
 
 
@@ -108,7 +109,7 @@ def break_sum_table_oracle(g, partition):
     if K == 0:
         return BreakSumTable(base=n, stable_level=0, entries=())
     indices = [i for i in range((n - 1) * n**K) if i % n]
-    points = [vertex_value(partition, g, VertexRef(i, K)) for i in indices]
+    points = [vertex_value(partition, VertexRef(i, K)) for i in indices]
     return BreakSumTable(base=n, stable_level=K,
                          entries=tuple(zip(indices, _break_sums(g, points, n))))
 
@@ -174,7 +175,7 @@ class TestIteratedSums:
         record = load_example(example_id)
         K = record["stable_level"]
         got = [
-            iterated_break_sum(g, vertex_value(partition, g, VertexRef(i, K)))
+            iterated_break_sum(g, vertex_value(partition, VertexRef(i, K)))
             for i in range(1, 2**K, 2)
         ]
         assert got == record["sigma"]
@@ -247,12 +248,10 @@ class TestSharedWalk:
             if partition.power_exponent is not None:
                 levels.append(stable_level(partition))
             for level in levels:
-                cases.append((g, partition.base,
-                               vertices_at_level(partition, g, level)))
+                cases.append((g, partition.base, vertices_at_level(partition, level)))
         for seed in range(6):
             _, g, partition = random_conjugate_factory(seed)
-            cases.append((g, 2, vertices_at_level(partition, g,
-                                                  stable_level(partition))))
+            cases.append((g, 2, vertices_at_level(partition, stable_level(partition))))
         return cases
 
     def test_sums_and_refusals_match_the_per_point_sum(
@@ -278,7 +277,7 @@ class TestSharedWalk:
         summed earlier in the same call."""
         partition, g, _ = examples[example_id]
         n = partition.base
-        points = vertices_at_level(partition, g, stable_level(partition) + 1)
+        points = vertices_at_level(partition, stable_level(partition) + 1)
         orders = (points, points[::-1],
                   [q for x in points for q in (g.evaluate(x), x)])
         refusals = set()
@@ -328,7 +327,7 @@ class TestIndexWalk:
     def test_tables_and_refusals_match(self, examples, random_conjugate_factory):
         kinds = set()
         for partition, g in self.corpus(examples, random_conjugate_factory):
-            got = outcome(lambda: break_sum_table(g, partition))
+            got = outcome(lambda: break_sum_table(partition))
             assert got == outcome(lambda: break_sum_table_oracle(g, partition))
             kinds.add(type(got) if isinstance(got, BreakSumTable) else got[0])
         assert {BreakSumTable, NotPowerForm, DivergentFixedPoint} <= kinds
@@ -340,11 +339,11 @@ class TestIndexWalk:
         for partition, g in self.corpus(examples, random_conjugate_factory):
             n = partition.base
             cuts = range(partition.interval_count)
-            walk = _cut_walker(g, partition)
+            _, walk = _cut_walker(partition)
             for c in cuts:
                 assert (outcome(lambda: walk([c]))
                         == outcome(lambda: _break_sums(g, [partition.endpoints[c]], n)))
-            got = outcome(lambda: _cut_walker(g, partition)(cuts))
+            got = outcome(lambda: _cut_walker(partition)[1](cuts))
             assert got == outcome(lambda: _break_sums(g, partition.endpoints, n))
             if isinstance(got, tuple):
                 kinds.add(got[0])
@@ -355,9 +354,16 @@ class TestIndexWalk:
         _, other, _ = examples["3"]
         for g in (other, multiplication_map(2)):
             with pytest.raises(ValueError):
-                break_sum_table(g, partition)
-            with pytest.raises(ValueError):
                 pl_criterion(g, partition)
+
+    def test_the_map_is_refused_before_the_power_form(self):
+        """[1, 2, 4] is neither Markov nor in power form: building its map
+        refuses first, as it did when callers built the map themselves."""
+        partition = AffineMarkovPartition(2, [1, 2, 4])
+        with pytest.raises(SlopeNotPowerOfN):
+            break_sum_table(partition)
+        with pytest.raises(SlopeNotPowerOfN):
+            find_break_sum_discrepancy(partition, VertexRef(1, 1), VertexRef(1, 1))
 
 
 class TestBreakSumTable:
@@ -365,7 +371,7 @@ class TestBreakSumTable:
     def test_golden_tables(self, examples, example_id):
         partition, g, _ = examples[example_id]
         record = load_example(example_id)
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         assert table.stable_level == record["stable_level"]
         assert list(table.sequence()) == record["sigma"]
         assert table.is_constant is record["sigma_constant"]
@@ -374,8 +380,7 @@ class TestBreakSumTable:
 
     def test_uniform_partition_has_empty_table(self):
         partition = AffineMarkovPartition(2, [1, 1])
-        g, _ = build_expanding_map(partition)
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         assert table.stable_level == 0
         assert table.entries == ()
         assert table.is_constant
@@ -387,19 +392,19 @@ class TestBreakSumTable:
         """The table's answer at every vertex of natural level at least the
         stable level must equal the sum computed directly at that point."""
         partition, g, _ = examples[example_id]
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         K = table.stable_level
         for level in range(K, K + 3):
             for i in range(2**level):
                 ref = reduce_ref(VertexRef(i, level), 2)
                 if ref.level < K:
                     continue
-                x = vertex_value(partition, g, ref)
+                x = vertex_value(partition, ref)
                 assert table.value_at(ref) == iterated_break_sum(g, x)
 
     def test_aliases_share_a_value(self, examples):
         partition, g, _ = examples["1"]
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         K = table.stable_level
         for j in (1, 5, 11, 15):
             assert (table.value_at(VertexRef(j, K))
@@ -408,7 +413,7 @@ class TestBreakSumTable:
 
     def test_vertices_below_the_stable_level_are_refused(self, examples):
         partition, g, _ = examples["1"]
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         with pytest.raises(ValueError):
             table.value_at(VertexRef(0, 5))
         with pytest.raises(ValueError):
@@ -419,14 +424,14 @@ class TestBreakSumTable:
         partition, g, _ = examples[example_id]
         assert load_example(example_id)["sigma_refusal"]["kind"] == "not_power_form"
         with pytest.raises(NotPowerForm):
-            break_sum_table(g, partition)
+            break_sum_table(partition)
 
     def test_divergence_refusal(self, examples):
         partition, g, _ = examples["4"]
         refusal = load_example("4")["sigma_refusal"]
         assert refusal["kind"] == "divergent_fixed_point"
         with pytest.raises(DivergentFixedPoint) as err:
-            break_sum_table(g, partition)
+            break_sum_table(partition)
         assert err.value.point == as_fraction(refusal["point"])
         assert err.value.break_value == refusal["break"]
 
@@ -438,7 +443,7 @@ class TestBreakSumTable:
 
     def test_records_shape(self, examples):
         partition, g, _ = examples["1"]
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         for index, level, value in table.as_records():
             assert level == table.stable_level
             assert index % 2 == 1
@@ -454,7 +459,7 @@ class TestZeroSum:
         partition, g, _ = examples[example_id]
         K = stable_level(partition)
         for level in range(K, K + 4):
-            points = vertices_at_level(partition, g, level)
+            points = vertices_at_level(partition, level)
             assert len(set(points)) == len(points)
             assert sum(break_value(g, p) for p in points) == 0
 
@@ -462,7 +467,7 @@ class TestZeroSum:
     def test_derived_levels(self, examples, example_id):
         partition, g, _ = examples[example_id]
         for level in range(0, 4):
-            points = vertices_at_level(partition, g, level)
+            points = vertices_at_level(partition, level)
             assert len(set(points)) == len(points)
             assert sum(break_value(g, p) for p in points) == 0
 
@@ -471,7 +476,7 @@ class TestZeroSum:
             _, g, partition = random_conjugate_factory(seed)
             K = stable_level(partition)
             for level in range(K, K + 3):
-                points = vertices_at_level(partition, g, level)
+                points = vertices_at_level(partition, level)
                 assert sum(break_value(g, p) for p in points) == 0
 
 
@@ -480,7 +485,7 @@ class TestCoboundary:
     def test_exhaustive_over_deep_vertices(self, examples, example_id):
         partition, g, _ = examples[example_id]
         K = stable_level(partition)
-        points = vertices_at_level(partition, g, K + 3)
+        points = vertices_at_level(partition, K + 3)
         assert coboundary_check(g, points)
 
     def test_single_step_instance(self, examples):
@@ -656,7 +661,7 @@ class TestPLCriterion:
 class TestDiscrepancySearch:
     def test_example_one_sampled_anchors(self, examples):
         partition, g, _ = examples["1"]
-        table = break_sum_table(g, partition)
+        table = break_sum_table(partition)
         K = table.stable_level
         rng = random.Random(4)
         anchors = [VertexRef(rng.randrange(1, 2**level, 2), level)
@@ -665,7 +670,7 @@ class TestDiscrepancySearch:
             for right in anchors:
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
-                        g, partition, left, right, pad=pad,
+                        partition, left, right, pad=pad,
                         table=table)
                     assert hit is not None
                     assert 1 <= hit.offset < 2**K
@@ -677,8 +682,8 @@ class TestDiscrepancySearch:
                     deep_right = VertexRef(
                         right.index * (span << pad) + hit.offset,
                         right.level + K + pad)
-                    xl = vertex_value(partition, g, deep_left)
-                    xr = vertex_value(partition, g, deep_right)
+                    xl = vertex_value(partition, deep_left)
+                    xr = vertex_value(partition, deep_right)
                     assert iterated_break_sum(g, xl) == hit.left_value
                     assert iterated_break_sum(g, xr) == hit.right_value
                     assert hit.point == xl
@@ -695,32 +700,30 @@ class TestDiscrepancySearch:
     def test_constant_tables_never_yield(self, random_conjugate_factory):
         for seed in (1, 6):
             _, g, partition = random_conjugate_factory(seed)
-            table = break_sum_table(g, partition)
+            table = break_sum_table(partition)
             assert table.is_constant
             K = table.stable_level
             left = VertexRef(max(1, 2**K - 1), K)
             right = VertexRef(1, K + 1)
             for pad in (1, 2):
                 assert find_break_sum_discrepancy(
-                    g, partition, left, right, pad=pad,
+                    partition, left, right, pad=pad,
                     table=table) is None
 
     def test_uniform_partition_is_trivially_clean(self):
         partition = AffineMarkovPartition(2, [1, 1])
         g, _ = build_expanding_map(partition)
         assert find_break_sum_discrepancy(
-            g, partition, VertexRef(1, 1), VertexRef(1, 2)) is None
+            partition, VertexRef(1, 1), VertexRef(1, 2)) is None
 
     def test_validation(self, examples):
         partition, g, _ = examples["1"]
         with pytest.raises(ValueError):
-            find_break_sum_discrepancy(g, partition,
+            find_break_sum_discrepancy(partition,
                                        VertexRef(1, 4), VertexRef(1, 4), pad=0)
         with pytest.raises(ValueError):
-            find_break_sum_discrepancy(g, partition,
+            find_break_sum_discrepancy(partition,
                                        VertexRef(1, 3), VertexRef(1, 4))
         partition3 = AffineMarkovPartition(3, [1, 1])
-        g3, _ = build_expanding_map(partition3)
         with pytest.raises(ValueError):
-            find_break_sum_discrepancy(g3, partition3,
-                                       VertexRef(1, 1), VertexRef(1, 1))
+            find_break_sum_discrepancy(partition3, VertexRef(1, 1), VertexRef(1, 1))

@@ -99,6 +99,13 @@ class TestSigma:
         assert code == 2
         assert "refused: NotPowerForm" in err
 
+    def test_the_map_is_refused_before_the_power_form(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "partition", "sigma", uniform_file(tmp_path, lengths=(1, 2, 4)))
+        assert code == 2
+        assert out == ""
+        assert err == "refused: SlopeNotPowerOfN: interval 0 has slope 3, not a power of 2\n"
+
 
 class TestEqualPairs:
     def test_positive(self, capsys, partition_file):
@@ -275,6 +282,14 @@ class TestDyadicStatus:
         assert code == 2
         assert out == ""
         assert err == ("refused: BudgetExceeded: level 30 has 17179869184 vertices, "
+                       "budget is 1048576\n")
+
+    def test_very_deep_level_is_refused_without_its_count(self, capsys, partition_file):
+        code, out, err = run_cli(
+            capsys, "partition", "dyadic-status", partition_file("2"), "--depth", "20000")
+        assert code == 2
+        assert out == ""
+        assert err == ("refused: BudgetExceeded: level 20000 has 6*2**20000 vertices, "
                        "budget is 1048576\n")
 
     def test_negative_depth_flag_is_an_input_error(self, capsys, partition_file):

@@ -376,10 +376,10 @@ class TestDescentAgainstTables:
             assert info.value.point == value
             assert str(info.value).startswith(f"{value} is not a vertex")
         level = depth + (partition.power_exponent or 0)
-        assert vertex_value(partition, conj.map, VertexRef(index, level)) == value
+        assert vertex_value(partition, VertexRef(index, level)) == value
         length = table.interval_length(index)
-        assert interval_length_at(partition, conj.map, level, index) == length
-        assert interval_length_at(partition, conj.map, level, index + count) == length
+        assert interval_length_at(partition, level, index) == length
+        assert interval_length_at(partition, level, index + count) == length
         q = source + F(r * data.draw(st.integers(0, 6), label="offset"), 7 * count)
         width = length * data.draw(st.sampled_from((F(1, 2), F(1), F(3))), label="scale")
         want = enclosure_oracle(chain, q, width, depth)
@@ -436,6 +436,30 @@ class TestVertexBudget:
         assert info.value.limit == 48
         assert len(conj.chain._tables) == 1
         assert nadic_image_status(conj, 3).depth == 3
+
+    @pytest.mark.parametrize("depth", (20000, 10**9))
+    def test_deep_levels_are_refused_without_their_count(self, depth):
+        conj = Conjugator(AffineMarkovPartition(2, [2, 2, 1, 1, 1, 1]))
+        with pytest.raises(BudgetExceeded) as info:
+            conj.check(depth)
+        assert info.value.limit == markov.MAX_TABLE_VERTICES
+        with pytest.raises(BudgetExceeded):
+            nadic_image_status(conj, depth)
+        assert len(conj.chain._tables) == 1
+
+    def test_levels_are_refused_exactly_past_the_budget(self, monkeypatch):
+        for partition in (AffineMarkovPartition(2, [1]), AffineMarkovPartition(3, [1] * 6)):
+            n, p = partition.base, partition.interval_count
+            for limit in (0, 1, 5, 64, 1000):
+                monkeypatch.setattr(markov, "MAX_TABLE_VERTICES", limit)
+                chain = LevelChain(partition)
+                for depth in range(30):
+                    if p * n**depth > limit:
+                        with pytest.raises(BudgetExceeded) as info:
+                            chain.level(depth)
+                        assert info.value.limit == limit
+                    else:
+                        assert len(chain.level(depth).numerators) == p * n**depth
 
     def test_single_queries_ignore_the_budget(self, examples, monkeypatch):
         partition, _, _ = examples["1"]
@@ -577,7 +601,8 @@ class TestPeriodicPoints:
 def image_status_oracle(conj, depth):
     """The lattice image as it stood before reading the deepest level only:
     every level 0..depth is read, and each vertex tested on its own."""
-    n, p, r = conj.base, conj.interval_count, conj.circumference
+    P = conj.partition
+    n, p, r = P.base, P.interval_count, P.circumference
     conj.chain.table(depth)
     subset_holds = True
     counterexample = None

@@ -140,6 +140,14 @@ class TestSmoothness:
         with pytest.raises(ValueError):
             trailing_zeros(0, 2)
 
+    @pytest.mark.parametrize("n", (1, 0))
+    def test_bases_below_two_are_rejected(self, n):
+        for q in (Fraction(2), Fraction(1), Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                power_exponent(q, n)
+        with pytest.raises(ValueError):
+            trailing_zeros(4, n)
+
 
 class TestNAdicForm:
     @pytest.mark.parametrize("n", BASES)

@@ -309,6 +309,16 @@ class TestCanonicalForm:
             map_from_dict({"space": "circle", "circumference": 1, "degree": 2,
                            "pieces": []})
 
+    @pytest.mark.parametrize("field, value", [
+        ("circumference", 1.5), ("degree", 2.9), ("circumference", "1"),
+        ("circumference", True),
+    ])
+    def test_circle_dict_with_a_non_integer_size_is_malformed(self, field, value):
+        data = map_to_dict(multiplication_map(2))
+        data[field] = value
+        with pytest.raises(ParseError):
+            map_from_dict(data)
+
     def test_line_dict_round_trip(self):
         f = PLLineMap.from_profile([F(0), F(1)], [F(1), F(2), F(1)], F(0), F(0))
         assert map_from_dict(map_to_dict(f)) == f
