@@ -81,6 +81,7 @@ from .exact import (
     keep_last_digits,
     parse_rational,
     power_exponent,
+    ratio_exponent,
     reduce_to_circle,
     to_nadic,
     trailing_zeros,

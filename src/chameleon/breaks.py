@@ -65,9 +65,10 @@ def _orbit_sums(g: PLCircleMap, starts, step, weight, known: dict,
         if length > max_steps:
             orbit(g, point(x), max_steps=max_steps)  # raises BudgetExceeded
         cut = seen.get(current, len(walk))  # walk[cut:] is the cycle, if it closed
-        cycle = tuple(point(c) for c in walk[cut:])
-        cycle_breaks = tuple(weight(c) for c in walk[cut:])
+        cycle = walk[cut:]
+        cycle_breaks = [weight(c) for c in cycle]
         if any(cycle_breaks):
+            cycle, cycle_breaks = tuple([point(c) for c in cycle]), tuple(cycle_breaks)
             if len(cycle) == 1:
                 raise DivergentFixedPoint(
                     f"orbit of {point(x)} ends at fixed point {cycle[0]} with "
@@ -79,7 +80,7 @@ def _orbit_sums(g: PLCircleMap, starts, step, weight, known: dict,
                 f"{cycle_breaks}",
                 cycle=cycle, break_values=cycle_breaks,
             )
-        known.update(dict.fromkeys(walk[cut:], (0, len(cycle))))
+        known.update(dict.fromkeys(cycle, (0, len(cycle))))
         values = [weight(q) for q in walk[:cut]]
         for i in reversed(range(cut)):
             total += values[i]
@@ -105,17 +106,19 @@ def _cut_walker(P: AffineMarkovPartition):
     """The map g of P, and break sums at cut points of P named by index,
     sharing one memo.
 
-    g sends cut c to cut n*c mod p, and its break at cut c is E[c] - E[c-1]
-    for the slope exponents E, so the sums are integer walks on Z/p.
-    Building g refuses first; refusals of the walk name cuts by their
-    endpoints.
+    g sends cut c to cut n*c mod p, and its break at cut c is the build's
+    break value there (0 off the break cuts), so the sums are integer walks
+    on Z/p.  Building g refuses first; refusals of the walk name cuts by
+    their points.
     """
     g, report = build_expanding_map(P)
-    n, p, E = P.base, P.interval_count, report.slope_exponents
-    weights = [E[c] - E[c - 1] for c in range(p)]
+    n, p = P.base, P.interval_count
+    weights = [0] * p
+    for c, (_, value) in zip(P.break_indices(), report.break_values):
+        weights[c] = value
     known: dict[int, tuple[int, int]] = {}
     return g, lambda cuts: _orbit_sums(g, cuts, lambda c: n * c % p, weights.__getitem__,
-                                       known, P.endpoints.__getitem__)
+                                       known, P.cut)
 
 
 def iterated_break_sum(g: PLCircleMap, x, max_steps: int = 4096,
@@ -208,7 +211,8 @@ def _table(P: AffineMarkovPartition, K: int, walk) -> BreakSumTable:
     n, stride = P.base, P.base**(P.power_exponent - K)
     indices = [i for i in range((n - 1) * n**K) if i % n]
     sums = walk([i * stride for i in indices])
-    return BreakSumTable(base=n, stable_level=K, entries=tuple(zip(indices, sums)))
+    # Built from a list: see the note on hot tuples in ``maps``.
+    return BreakSumTable(base=n, stable_level=K, entries=tuple(list(zip(indices, sums))))
 
 
 def coboundary_check(g: PLCircleMap, xs) -> bool:
@@ -361,7 +365,7 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     m = P.power_exponent
     shallow = range(0, 2**m, 2**(m - K + 1))
     assignment = BreakAssignment(entries=tuple(sorted(
-        (P.endpoints[c], common - v) for c, v in zip(shallow, walk(shallow))
+        (P.cut(c), common - v) for c, v in zip(shallow, walk(shallow))
         if v != common
     )))
     if assignment.total != 0:

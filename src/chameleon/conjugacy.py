@@ -11,6 +11,7 @@ form when the partition pairs up.
 
 from __future__ import annotations
 
+import bisect
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,18 +152,23 @@ class Conjugator:
         """The source grid point mapped to a vertex x, searching all depths
         within budget; refuses with NotAVertex otherwise.  Each step of g
         lowers the depth by one, and its lift's laps past r are the source
-        index's base-n digits."""
+        index's base-n digits.  A point y is cut j when y*W/r is the integer
+        prefix sum cum[j]."""
         P = self.partition
         n, p, r = P.base, P.interval_count, P.circumference
+        W, cum = P.total_weight, P.prefix_sums
         x = reduce_to_circle(as_fraction(x), r)
         if not is_nadic(x, n):
             raise NotAVertex(f"{x} is not a base-{n} fraction, so not a vertex",
                              point=x)
-        cuts = {e: j for j, e in enumerate(P.endpoints)}
         digits, y = 0, x
         for depth in range(self.max_depth + 1):
-            if y in cuts:
-                return Fraction(r * (p * digits + cuts[y]), p * n**depth)
+            # y < r, so weight < W = cum[p] and cum[j] is defined.
+            weight, rest = divmod(y.numerator * W, y.denominator * r)
+            if not rest:
+                j = bisect.bisect_left(cum, weight)
+                if cum[j] == weight:
+                    return Fraction(r * (p * digits + j), p * n**depth)
             w, y = divmod(self.map.lift_value(y), r)
             digits = n * digits + w
         raise NotAVertex(

@@ -70,18 +70,25 @@ def power_exponent(q, n: int) -> int | None:
     q = as_fraction(q)
     if q <= 0:
         return None
-    if q.numerator == 1 and q.denominator == 1:
-        return 0
-    if q.denominator == 1:
-        m, k = q.numerator, 0
-        while m % n == 0:
-            m //= n
-            k += 1
-        return k if m == 1 else None
-    if q.numerator == 1:
-        k = power_exponent(Fraction(q.denominator), n)
-        return -k if k is not None else None
-    return None
+    return ratio_exponent(q.numerator, q.denominator, n)
+
+
+def ratio_exponent(num: int, den: int, n: int) -> int | None:
+    """Return k with num/den == n**k for positive integers num and den, or
+    None when the ratio is not an integral power of n."""
+    if n < 2:
+        raise ValueError("base must be at least 2")
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    if num != 1 and den != 1:
+        return None
+    m, k = num * den, 0
+    while m % n == 0:
+        m //= n
+        k += 1
+    if m != 1:
+        return None
+    return k if den == 1 else -k
 
 
 def trailing_zeros(i: int, n: int) -> int:
@@ -131,6 +138,8 @@ class NAdic:
 
 def to_nadic(q, n: int) -> NAdic | None:
     """Canonical base-n form of q, or None when q is outside Z[1/n]."""
+    if n < 2:
+        raise ValueError("base must be at least 2")
     q = as_fraction(q)
     b = q.denominator
     if not is_smooth(b, n):
@@ -146,6 +155,8 @@ def to_nadic(q, n: int) -> NAdic | None:
 
 def is_nadic(q, n: int) -> bool:
     """Whether q lies in Z[1/n]: its denominator divides a power of n."""
+    if n < 2:
+        raise ValueError("base must be at least 2")
     return is_smooth(as_fraction(q).denominator, n)
 
 

@@ -257,8 +257,8 @@ def _circle_from_lifted_pieces(r: int, degree: int,
         (reduce_to_circle(s, r), slope, v)
         for (s, slope), v in zip(pieces, values)
     )
-    boundaries = tuple(b for b, _, _ in data)
-    slopes = tuple(s for _, s, _ in data)
+    boundaries = tuple([b for b, _, _ in data])
+    slopes = tuple([s for _, s, _ in data])
     return PLCircleMap(r, degree, boundaries, slopes, data[0][2])
 
 

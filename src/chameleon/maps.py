@@ -23,6 +23,11 @@ whose lift values are the original boundaries) and
 are read off the cut permutation).  They build through the private
 ``PLCircleMap._from_lift``, which only anchors the data; the tests compare
 each with the validated constructor on the same data.
+
+Tuples on hot paths are built from lists.  ``tuple()`` of a generator or of
+``zip`` starts from ten slots and resizes, so such a tuple is drawn from one
+size's free list and returned to another's, where it stays until a full
+collection; built from a list, it is drawn and returned at its own size.
 """
 
 from __future__ import annotations
@@ -107,8 +112,8 @@ class PLCircleMap:
             raise ValueError("circumference must be a positive integer")
         if d < 1 or d != degree:
             raise ValueError("degree must be a positive integer")
-        bs = tuple(as_fraction(b) for b in boundaries)
-        ss = tuple(as_fraction(s) for s in slopes)
+        bs = tuple([as_fraction(b) for b in boundaries])
+        ss = tuple([as_fraction(s) for s in slopes])
         if not bs or len(bs) != len(ss):
             raise ValueError("need one slope per boundary, at least one of each")
         if any(not (0 <= b < r) for b in bs):
@@ -130,7 +135,7 @@ class PLCircleMap:
         # Normalise: keep only boundaries where the slope actually changes;
         # a break-free map keeps its first one.
         keep = [i for i in range(len(bs)) if ss[i] != ss[i - 1]] or [0]
-        self._anchor(r, d, tuple(bs[i] for i in keep), tuple(ss[i] for i in keep),
+        self._anchor(r, d, tuple([bs[i] for i in keep]), tuple([ss[i] for i in keep]),
                      [lift[i] for i in keep])
 
     def _anchor(self, r: int, d: int, bs: tuple, ss: tuple, lift) -> None:
@@ -144,7 +149,7 @@ class PLCircleMap:
         self.degree = d
         self.boundaries = bs
         self.slopes = ss
-        self._lift = tuple(v - shift for v in lift)
+        self._lift = tuple([v - shift for v in lift] if shift else lift)
         self.value_at_first = self._lift[0]
 
     @classmethod
@@ -209,9 +214,20 @@ class PLCircleMap:
         return base + k * self.degree * r
 
     def evaluate(self, x) -> Fraction:
-        """Image of the circle point x, reduced to [0, r)."""
-        x = reduce_to_circle(as_fraction(x), self.circumference)
-        return reduce_to_circle(self.lift_value(x), self.circumference)
+        """Image of the circle point x, reduced to [0, r).
+
+        A point x below b0 is read on the last piece at x + r, where the lift
+        is d*r higher; reducing mod r drops the difference.
+        """
+        r, bs = self.circumference, self.boundaries
+        x = as_fraction(x)
+        laps = x // r
+        if laps:
+            x -= laps * r
+        i = bisect.bisect_right(bs, x) - 1
+        y = self._lift[i] + self.slopes[i] * (x - bs[i] if i >= 0 else x + r - bs[i])
+        laps = y // r
+        return y - laps * r if laps else y
 
     def __call__(self, x) -> Fraction:
         return self.evaluate(x)
@@ -246,10 +262,10 @@ class PLCircleMap:
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Boundaries where the slope genuinely changes (all of them after
         normalisation, except the anchor of a break-free map)."""
-        return tuple(
+        return tuple([
             b for i, b in enumerate(self.boundaries)
             if self.slopes[i] != self.slopes[i - 1]
-        )
+        ])
 
     def window_pieces(self) -> Iterator[tuple[Fraction, Fraction, AffinePiece]]:
         """Triples (start, end, branch) covering the window [b0, b0 + r)."""
@@ -265,13 +281,16 @@ class PLCircleMap:
         """Triples (c_j + k*r, lift value there, slope on the right) over the
         lifted boundaries in order, from the one owning the real point y on;
         the lift value is G(c_j) + k*d*r."""
-        r, cs = self.circumference, self.boundaries
+        r, cs, lift, ss = self.circumference, self.boundaries, self._lift, self.slopes
         k = (y - cs[0]) // r
         j = bisect.bisect_right(cs, y - k * r) - 1
-        pieces = tuple(zip(cs, self._lift, self.slopes))
         while True:
-            for c, v, t in pieces[j:]:
-                yield c + k * r, v + k * self.degree * r, t
+            if k:
+                shift, rise = k * r, k * self.degree * r
+                for c, v, t in zip(cs[j:], lift[j:], ss[j:]):
+                    yield c + shift, v + rise, t
+            else:
+                yield from zip(cs[j:], lift[j:], ss[j:])
             j, k = 0, k + 1
 
     def compose(self, inner: "PLCircleMap") -> "PLCircleMap":

@@ -14,6 +14,7 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import (
@@ -24,16 +25,22 @@ from .errors import (
     ParseError,
     SlopeNotPowerOfN,
 )
-from .exact import is_nadic, power_exponent, trailing_zeros
+from .exact import is_nadic, ratio_exponent, trailing_zeros
 from .maps import PLCircleMap
 
 
 class AffineMarkovPartition:
-    """Cyclic integer weights cutting the circumference-(base-1) circle."""
+    """Cyclic integer weights cutting the circumference-(base-1) circle.
+
+    The partition is kept as integers: the weights, their prefix sums (cut i
+    is ``r * prefix_sums[i] / W``, W the total weight) and the blocks.  The
+    ``Fraction`` tuples ``endpoints`` and ``slopes`` are formed on first
+    read and kept.
+    """
 
     __slots__ = ("base", "lengths", "interval_count", "total_weight", "unit",
-                 "circumference", "endpoints", "blocks", "slopes", "power_exponent",
-                 "_break_indices")
+                 "circumference", "prefix_sums", "blocks", "power_exponent",
+                 "_break_indices", "_endpoints", "_slopes")
 
     def __init__(self, base: int, lengths) -> None:
         if isinstance(base, bool) or not isinstance(base, int) or base < 2:
@@ -50,29 +57,27 @@ class AffineMarkovPartition:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "lengths", lengths)
         p = len(lengths)
-        total = sum(lengths)
-        unit = Fraction(base - 1, total)
+        cum = tuple(accumulate(lengths, initial=0))
+        total = cum[p]
         object.__setattr__(self, "interval_count", p)
         object.__setattr__(self, "total_weight", total)
-        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "unit", Fraction(base - 1, total))
         object.__setattr__(self, "circumference", base - 1)
-        acc, cuts = 0, []
-        for v in lengths:
-            cuts.append(unit * acc)
-            acc += v
-        object.__setattr__(self, "endpoints", tuple(cuts))
+        object.__setattr__(self, "prefix_sums", cum)
+        object.__setattr__(self, "_endpoints", None)
+        object.__setattr__(self, "_slopes", None)
         # Block i is the total weight of the base-many intervals that the
-        # branch over interval i stretches across.
-        blocks = tuple(sum(lengths[(base * i + l) % p] for l in range(base))
-                       for i in range(p))
+        # branch over interval i stretches across: the weight between the
+        # lifted cuts n*i and n*(i+1), where lifted cut k sits at weight
+        # floor(k/p)*W + cum[k mod p].
+        lifted = [k // p * total + cum[k % p] for k in range(0, base * p + 1, base)]
+        blocks = tuple([b - a for a, b in zip(lifted, lifted[1:])])
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "slopes", tuple(
-            Fraction(block, v) for block, v in zip(blocks, lengths)))
         # Slope i = block_i / w_i differs from slope i-1 exactly when the
         # cross products of the integers differ.
-        object.__setattr__(self, "_break_indices", tuple(
+        object.__setattr__(self, "_break_indices", tuple([
             i for i in range(p)
-            if blocks[i] * lengths[i - 1] != blocks[i - 1] * lengths[i]))
+            if blocks[i] * lengths[i - 1] != blocks[i - 1] * lengths[i]]))
         # power form: p = (base-1) * base**m
         m, q = 0, p
         if p % (base - 1) == 0:
@@ -81,6 +86,27 @@ class AffineMarkovPartition:
                 q //= base
                 m += 1
         object.__setattr__(self, "power_exponent", m if q == 1 else None)
+
+    @property
+    def endpoints(self) -> tuple[Fraction, ...]:
+        """The cut points, formed on first read."""
+        if self._endpoints is None:
+            r, W = self.circumference, self.total_weight
+            object.__setattr__(self, "_endpoints", tuple([
+                Fraction(r * c, W) for c in self.prefix_sums[:-1]]))
+        return self._endpoints
+
+    @property
+    def slopes(self) -> tuple[Fraction, ...]:
+        """The branch slopes block_i / w_i, formed on first read."""
+        if self._slopes is None:
+            object.__setattr__(self, "_slopes", tuple([
+                Fraction(b, v) for b, v in zip(self.blocks, self.lengths)]))
+        return self._slopes
+
+    def cut(self, i: int) -> Fraction:
+        """Cut point i, read off the prefix sums alone."""
+        return Fraction(self.circumference * self.prefix_sums[i], self.total_weight)
 
     def __setattr__(self, name, value):  # pragma: no cover - frozen
         raise AttributeError("partition objects are immutable")
@@ -144,10 +170,8 @@ class AffineMarkovPartition:
 @dataclass(frozen=True)
 class BuildReport:
     """What the expanding-map construction established beyond the partition:
-    the base-n exponent of each branch slope, and the break value at each cut
-    where the slope changes."""
+    the break value at each cut where the slope changes."""
 
-    slope_exponents: tuple[int, ...]
     break_values: tuple[tuple[Fraction, int], ...]
 
 
@@ -159,20 +183,29 @@ def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildRep
     not a base-n fraction — in either case no base-n map realizes the
     partition.
     """
-    n, p = P.base, P.interval_count
-    exponents = []
-    for i, s in enumerate(P.slopes):
-        e = power_exponent(s, n)
+    n, p, r = P.base, P.interval_count, P.circumference
+    blocks, w = P.blocks, P.lengths
+    break_indices = P.break_indices()
+    # The slope is constant from one break to the next, so one test per run
+    # covers every interval.  The run through index 0 goes first and the
+    # others follow in order of their starts, so a refusal names the first
+    # bad interval.
+    starts = break_indices if break_indices[:1] == (0,) else (0,) + break_indices
+    exponents = {}
+    for i in starts:
+        e = ratio_exponent(blocks[i], w[i], n)
         if e is None:
+            s = Fraction(blocks[i], w[i])
             raise SlopeNotPowerOfN(
                 f"interval {i} has slope {s}, not a power of {n}",
                 index=i, slope=s,
             )
-        exponents.append(e)
+        exponents[i] = e
     # Cut points are integer multiples of the unit, so they are all base-n
     # fractions when it is one.
     if not is_nadic(P.unit, n):
-        for i, x in enumerate(P.endpoints):
+        for i in range(p):
+            x = P.cut(i)
             if not is_nadic(x, n):
                 raise EndpointNotNAdic(
                     f"cut point {i} at {x} is not a base-{n} fraction",
@@ -180,19 +213,20 @@ def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildRep
                 )
     # The map's breaks are the cuts where the slope changes (a break-free
     # partition gives multiplication by n), and its lift sends cut i to the
-    # lifted cut n*i, that is e[n*i mod p] + r*floor(n*i/p).
-    break_indices = P.break_indices()
+    # lifted cut n*i, at weight floor(n*i/p)*W + cum[n*i mod p].
     cuts = break_indices or (0,)
-    r = P.circumference
-    g = PLCircleMap._from_lift(
-        r, n, [P.endpoints[i] for i in cuts], [P.slopes[i] for i in cuts],
-        [P.endpoints[n * i % p] + r * (n * i // p) for i in cuts],
-    )
-    breaks = []
-    for i in break_indices:
-        e = exponents[i] - exponents[(i - 1) % p]
-        breaks.append((P.endpoints[i], e))
-    return g, BuildReport(slope_exponents=tuple(exponents), break_values=tuple(breaks))
+    W, cum = P.total_weight, P.prefix_sums
+    points, lifted = [], []
+    for i in cuts:
+        q, j = divmod(n * i, p)
+        points.append(P.cut(i))
+        lifted.append(Fraction(r * (q * W + cum[j]), W))
+    g = PLCircleMap._from_lift(r, n, points, [Fraction(blocks[i], w[i]) for i in cuts],
+                               lifted)
+    # The break at a cut is the change of exponent from the run before it.
+    ex = [exponents[i] for i in break_indices]
+    return g, BuildReport(break_values=tuple([
+        (x, e - f) for x, e, f in zip(points, ex, ex[-1:] + ex[:-1])]))
 
 
 @dataclass(frozen=True)
@@ -270,11 +304,9 @@ class LevelChain:
         scale = lcm(*(b // gcd(b, v) for b, v in zip(blocks, w)))
         self._scale = scale
         self._factors = tuple(scale * v // b for b, v in zip(blocks, w))
-        r, acc, numerators = partition.circumference, 0, []
-        for v in w:
-            numerators.append(r * acc)
-            acc += v
-        self._tables = [IntegerLevel(0, tuple(numerators), partition.total_weight, r)]
+        r = partition.circumference
+        numerators = tuple([r * c for c in partition.prefix_sums[:-1]])
+        self._tables = [IntegerLevel(0, numerators, partition.total_weight, r)]
         self._lock = threading.Lock()
 
     def level(self, depth: int) -> IntegerLevel:

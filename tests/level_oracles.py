@@ -1,10 +1,16 @@
-"""The exact ``Fraction`` level tower, kept as the oracle for the integer one.
+"""The exact ``Fraction`` partition data and level tower, kept as the oracle
+for the integer ones.
 
-``LevelChain`` refines levels as integer numerators over one denominator and
-``Conjugator.check`` sweeps the lift's pieces once; these are the per-vertex
-``Fraction`` versions they replaced.  ``refine`` measures each interval's
-proportions on the level itself, where the chain uses the partition's slope
-ratios, so the two agree exactly while the vertex law holds.
+``AffineMarkovPartition`` keeps its weights as integers and forms its cut
+points and slopes on first read, and ``build_expanding_map`` tests one slope
+per run between breaks; ``eager_endpoints``, ``eager_slopes`` and
+``build_by_interval`` are the per-interval ``Fraction`` versions they
+replaced.  ``LevelChain`` refines levels as integer numerators over one
+denominator and ``Conjugator.check`` sweeps the lift's pieces once; the rest
+are the per-vertex ``Fraction`` versions those replaced.  ``refine`` measures
+each interval's proportions on the level itself, where the chain uses the
+partition's slope ratios, so the two agree exactly while the vertex law
+holds.
 """
 
 from __future__ import annotations
@@ -12,9 +18,50 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from chameleon.errors import NotMarkov
+from chameleon.errors import EndpointNotNAdic, NotMarkov, SlopeNotPowerOfN
+from chameleon.exact import is_nadic, power_exponent
 from chameleon.maps import PLCircleMap
-from chameleon.markov import PartitionLevelTable
+from chameleon.markov import AffineMarkovPartition, PartitionLevelTable
+
+
+def eager_endpoints(P: AffineMarkovPartition) -> tuple[Fraction, ...]:
+    """Cut i at unit * (w_0 + ... + w_{i-1})."""
+    unit, acc, cuts = Fraction(P.base - 1, sum(P.lengths)), 0, []
+    for v in P.lengths:
+        cuts.append(unit * acc)
+        acc += v
+    return tuple(cuts)
+
+
+def eager_slopes(P: AffineMarkovPartition) -> tuple[Fraction, ...]:
+    """Slope i = block_i / w_i, block i summing the base-many weights from
+    index n*i on, cyclically."""
+    n, w, p = P.base, P.lengths, P.interval_count
+    return tuple(Fraction(sum(w[(n * i + l) % p] for l in range(n)), w[i])
+                 for i in range(p))
+
+
+def build_by_interval(P: AffineMarkovPartition) -> tuple[PLCircleMap, tuple]:
+    """The expanding map of P and its break values, testing every interval's
+    slope and every cut point."""
+    n, p, r = P.base, P.interval_count, P.base - 1
+    endpoints, slopes = eager_endpoints(P), eager_slopes(P)
+    exponents = []
+    for i, s in enumerate(slopes):
+        e = power_exponent(s, n)
+        if e is None:
+            raise SlopeNotPowerOfN(f"interval {i} has slope {s}, not a power of {n}",
+                                   index=i, slope=s)
+        exponents.append(e)
+    for i, x in enumerate(endpoints):
+        if not is_nadic(x, n):
+            raise EndpointNotNAdic(f"cut point {i} at {x} is not a base-{n} fraction",
+                                   index=i, value=x)
+    # Cut 0 is the point 0, which the map fixes.
+    g = PLCircleMap(r, n, endpoints, slopes, 0)
+    breaks = tuple((endpoints[i], exponents[i] - exponents[i - 1]) for i in range(p)
+                   if slopes[i] != slopes[i - 1])
+    return g, breaks
 
 
 def standard_level_table(n: int, k: int) -> PartitionLevelTable:

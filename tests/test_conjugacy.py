@@ -135,6 +135,55 @@ class TestInverseValue:
         with pytest.raises((NotAVertex, BudgetExceeded)):
             conj.inverse_value(F(1, 2**9))
 
+    @staticmethod
+    def inverse_oracle(conj, x):
+        """The inverse through a dict keyed by every cut point."""
+        P = conj.partition
+        n, p, r = P.base, P.interval_count, P.circumference
+        x = reduce_to_circle(F(x), r)
+        if not is_nadic(x, n):
+            raise NotAVertex(f"{x} is not a base-{n} fraction, so not a vertex", point=x)
+        cuts = {e: j for j, e in enumerate(P.endpoints)}
+        digits, y = 0, x
+        for depth in range(conj.max_depth + 1):
+            if y in cuts:
+                return F(r * (p * digits + cuts[y]), p * n**depth)
+            w, y = divmod(conj.map.lift_value(y), r)
+            digits = n * digits + w
+        raise NotAVertex(f"{x} is not a vertex at any depth up to {conj.max_depth}",
+                         point=x)
+
+    @pytest.mark.parametrize("key", ["example 1", "example 2", "example 3", "uniform 2",
+                                     "uniform 3", "weights 2 3,3", "factory 4",
+                                     "subdivision 3 1"])
+    def test_bisecting_the_prefix_sums_matches_the_cut_dict(
+            self, key, examples, random_conjugate_factory):
+        """Every vertex to one level past the budget, and for each budget
+        below it a vertex first met one level deeper, which is refused."""
+        partition = corpus_partition(key, examples, random_conjugate_factory)
+        n, p = partition.base, partition.interval_count
+        top = max(d for d in range(5) if p * n**d <= 512 or d == 0)
+        chain = LevelChain(partition)
+
+        def outcome(inverse, conj, x):
+            try:
+                return inverse(conj, x)
+            except NotAVertex as exc:
+                return str(exc), exc.point
+
+        for max_depth in range(top + 1):
+            conj = Conjugator(partition, max_depth=max_depth)
+            deeper = chain.table(max_depth + 1).values
+            refused = deeper[1]  # index 1 is first met at level max_depth + 1
+            assert outcome(Conjugator.inverse_value, conj, refused) == (
+                f"{refused} is not a vertex at any depth up to {max_depth}", refused)
+            assert (outcome(Conjugator.inverse_value, conj, refused)
+                    == outcome(self.inverse_oracle, conj, refused))
+        conj = Conjugator(partition, max_depth=top)
+        for x in chain.table(top + 1).values + (F(1, 3), F(1, 2**(top + 9))):
+            assert (outcome(Conjugator.inverse_value, conj, x)
+                    == outcome(self.inverse_oracle, conj, x))
+
 
 class TestEnclosure:
     @pytest.mark.parametrize("example_id", example_ids())

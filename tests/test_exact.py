@@ -21,6 +21,7 @@ from chameleon.exact import (
     keep_last_digits,
     parse_rational,
     power_exponent,
+    ratio_exponent,
     reduce_to_circle,
     to_nadic,
     trailing_zeros,
@@ -128,6 +129,14 @@ class TestSmoothness:
         assert power_exponent(Fraction(20), 10) is None
 
     @pytest.mark.parametrize("n", BASES)
+    def test_ratio_exponent_on_unreduced_pairs(self, n):
+        for num in range(1, 70):
+            for den in range(1, 70):
+                want = next((k for k in range(-7, 8)
+                             if Fraction(num, den) == Fraction(n)**k), None)
+                assert ratio_exponent(num, den, n) == want, (num, den)
+
+    @pytest.mark.parametrize("n", BASES)
     def test_trailing_zeros_counts_factors(self, n):
         for k in range(0, 6):
             for unit in (1, n + 1, 2 * n + 1):
@@ -147,6 +156,8 @@ class TestSmoothness:
                 power_exponent(q, n)
         with pytest.raises(ValueError):
             trailing_zeros(4, n)
+        with pytest.raises(ValueError):
+            ratio_exponent(2, 1, n)
 
 
 class TestNAdicForm:
@@ -185,6 +196,13 @@ class TestNAdicForm:
         expected = to_nadic_oracle(q, n)
         assert to_nadic(q, n) == expected
         assert is_nadic(q, n) is (expected is not None)
+
+    @pytest.mark.parametrize("n", (1, 0, -2))
+    @pytest.mark.parametrize("q", (Fraction(1, 3), Fraction(1, 2), Fraction(3), 0))
+    def test_bases_below_two_are_rejected(self, n, q):
+        for test in (is_nadic, to_nadic, classify_point):
+            with pytest.raises(ValueError, match="base must be at least 2"):
+                test(q, n)
 
     def test_nadic_validates_canonical_form(self):
         with pytest.raises(ValueError):

@@ -232,6 +232,54 @@ class TestStoredLift:
         assert PLCircleMap(1, 1, bs, ss, F(-17, 4)).value_at_first == F(3, 4)
 
 
+class TestEvaluate:
+    """``evaluate`` reduces once, bisects once and does one multiply-add;
+    the reduced lift value is the oracle."""
+
+    @staticmethod
+    def oracle(m, x):
+        r = m.circumference
+        return reduce_to_circle(m.lift_value(reduce_to_circle(x, r)), r)
+
+    @staticmethod
+    def maps():
+        rng = random.Random(1507)
+        found = [PLCircleMap(*random_raw_circle_data(rng)[:4], F(rng.randrange(-40, 40), 8))
+                 for _ in range(60)]
+        found += [multiplication_map(2), multiplication_map(3), multiplication_map(4, 2),
+                  PLCircleMap.identity(2), PLCircleMap.rotation(3, F(7, 4))]
+        for _ in range(6):
+            h = random_circle_map(rng)
+            found += [h, h.compose(multiplication_map(2)).compose(h.invert())]
+        # Degree 2 with its first boundary above 0 and a value wrapping past r.
+        found.append(PLCircleMap(1, 2, (F(1, 4), F(3, 4)), (F(1), F(3)), F(7, 8)))
+        return found
+
+    def test_matches_the_reduced_lift(self):
+        maps = self.maps()
+        assert any(m.boundaries[0] > 0 and m.degree > 1 for m in maps)
+        assert any(m.piece_count == 1 for m in maps)
+        for m in maps:
+            r, bs = m.circumference, m.boundaries
+            ends = bs[1:] + (bs[0] + r,)
+            points = set(bs) | {(a + b) / 2 for a, b in zip(bs, ends)}
+            points |= {bs[0] / 2, F(0), r - F(1, 1000), F(1, 3)}
+            points |= {x + k * r for x in set(points) for k in (-3, -1, 1, 2)}
+            for x in sorted(points):
+                got = m.evaluate(x)
+                assert type(got) is Fraction and 0 <= got < r
+                assert got == self.oracle(m, x)
+
+    def test_int_and_str_inputs(self):
+        for m in self.maps():
+            r = m.circumference
+            for x in (0, 1, r, -1, -r - 1, 2 * r + 1):
+                assert m.evaluate(x) == self.oracle(m, F(x))
+                assert type(m.evaluate(x)) is Fraction
+            for text in ("1/3", "-5/8", f"{4 * r + 1}/4", " 7/16 "):
+                assert m.evaluate(text) == self.oracle(m, F(text.strip()))
+
+
 class TestConstructors:
     def test_multiplication_map_doubles_on_unit_circle(self):
         nu = multiplication_map(2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 from fractions import Fraction
@@ -33,7 +34,14 @@ from chameleon.markov import (
     vertex_value,
 )
 from conftest import circle_map_data, corpus_partition, subdivision_conjugate
-from level_oracles import derive, refine, standard_level_table
+from level_oracles import (
+    build_by_interval,
+    derive,
+    eager_endpoints,
+    eager_slopes,
+    refine,
+    standard_level_table,
+)
 
 F = Fraction
 
@@ -112,6 +120,65 @@ class TestConstruction:
             slopes = partition.slopes
             assert partition.break_indices() == tuple(
                 i for i in range(partition.interval_count) if slopes[i] != slopes[i - 1])
+
+    def test_integer_partition_matches_the_fraction_data(self, buildable):
+        """Cut points and slopes formed from the prefix sums and blocks, and
+        the map and breaks read off the break runs, against the per-interval
+        Fraction construction."""
+        for partition in buildable:
+            g, report = build_expanding_map(partition)
+            want_g, want_breaks = build_by_interval(partition)
+            assert partition.endpoints == eager_endpoints(partition)
+            assert partition.slopes == eager_slopes(partition)
+            assert [partition.cut(i) for i in range(partition.interval_count)] == list(
+                partition.endpoints)
+            assert report.break_values == want_breaks
+            assert circle_map_data(g) == circle_map_data(want_g)
+
+    def test_fraction_tuples_are_formed_on_first_read(self):
+        partition = AffineMarkovPartition(2, [1, 1, 2, 2, 1, 1])
+        build_expanding_map(partition)
+        assert partition._endpoints is None and partition._slopes is None
+        assert partition.endpoints is partition.endpoints
+        assert partition.slopes is partition.slopes
+
+    @pytest.mark.parametrize("base,lengths,error,index", [
+        # The run from cut 2 wraps past index 0, where slope 3 is met first.
+        (2, [1, 2, 1], SlopeNotPowerOfN, 0),
+        (2, [1, 2, 2, 1], SlopeNotPowerOfN, 0),
+        # Slope 4/3 starts the run at cut 1.
+        (2, [1, 3], SlopeNotPowerOfN, 1),
+        # The runs through 0 and from cut 1 pass; slope 2/3 starts cut 3's.
+        (2, [1, 1, 1, 3, 3], SlopeNotPowerOfN, 3),
+        (2, [1, 1, 1], EndpointNotNAdic, 1),
+        (3, [1, 1, 1, 1, 1], EndpointNotNAdic, 1),
+    ])
+    def test_refusals_match_the_interval_scan(self, base, lengths, error, index):
+        partition = AffineMarkovPartition(base, lengths)
+        with pytest.raises(error) as got:
+            build_expanding_map(partition)
+        with pytest.raises(error) as want:
+            build_by_interval(partition)
+        assert got.value.index == want.value.index == index
+        assert vars(got.value) == vars(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("base", (2, 3))
+    def test_small_weights_match_the_interval_scan(self, base):
+        """Every partition of up to five weights in 1..3: the same map and
+        breaks, or the same refusal with the same fields."""
+        def outcome(build, partition):
+            try:
+                g, breaks = build(partition)
+            except (SlopeNotPowerOfN, EndpointNotNAdic) as exc:
+                return type(exc), str(exc), vars(exc)
+            return circle_map_data(g), getattr(breaks, "break_values", breaks)
+
+        for p in range(base - 1, 6):
+            for lengths in itertools.product((1, 2, 3), repeat=p):
+                partition = AffineMarkovPartition(base, lengths)
+                assert (outcome(build_expanding_map, partition)
+                        == outcome(build_by_interval, partition)), lengths
 
     def test_build_neither_validates_nor_evaluates(self, buildable, circle_map_calls):
         for partition in buildable:
