@@ -42,83 +42,95 @@ from .markov import (
 )
 
 
-def _orbit_sums(g: PLCircleMap, starts, step, weight, known: dict,
-                point=lambda x: x, max_steps: int = 4096) -> list[int]:
-    """Break sums along forward orbits under ``step``, in order, sharing one walk.
+def _break_sums(g: PLCircleMap, points, n: int,
+                max_steps: int = 4096) -> list[int]:
+    """Iterated break sums of circle points, in order, sharing one walk of g.
 
-    ``weight`` gives the break value at an orbit element and ``point`` names
-    the element as a circle point of g.  Each walk stops at an element summed
-    earlier (``known`` maps it to its sum and orbit length) or where it closes
-    its cycle, and assigns sums back along itself, so step and weight run once
-    per distinct orbit element.  The first start that refuses raises what
-    ``iterated_break_sum`` raises at its point.
+    Each walk stops at a point summed earlier or where it closes its cycle,
+    and assigns sums back along itself, so g and the break value run once
+    per distinct orbit point.  The first point that refuses raises what
+    ``iterated_break_sum`` raises there.
     """
+    # Under classify items 3-5 an off-lattice orbit never meets a break.
+    skip = (any(not is_nadic(x, n) for x in points)
+            and all(classify(g, n).items[2:]))
+    known: dict = {}  # point -> (break sum, orbit length)
     sums = []
-    for x in starts:
+    for x in points:
+        if skip and not is_nadic(x, n):
+            sums.append(0)
+            continue
         walk, seen, current = [], {}, x
         while current not in known and current not in seen and len(walk) <= max_steps:
             seen[current] = len(walk)
             walk.append(current)
-            current = step(current)
+            current = g.evaluate(current)
         total, length = known.get(current, (0, 0))
         length += len(walk)
         if length > max_steps:
-            orbit(g, point(x), max_steps=max_steps)  # raises BudgetExceeded
+            orbit(g, x, max_steps=max_steps)  # raises BudgetExceeded
         cut = seen.get(current, len(walk))  # walk[cut:] is the cycle, if it closed
-        cycle = walk[cut:]
-        cycle_breaks = [weight(c) for c in cycle]
+        cycle = tuple(walk[cut:])
+        cycle_breaks = tuple([break_value(g, c, n) for c in cycle])
         if any(cycle_breaks):
-            cycle, cycle_breaks = tuple([point(c) for c in cycle]), tuple(cycle_breaks)
             if len(cycle) == 1:
                 raise DivergentFixedPoint(
-                    f"orbit of {point(x)} ends at fixed point {cycle[0]} with "
+                    f"orbit of {x} ends at fixed point {cycle[0]} with "
                     f"break value {cycle_breaks[0]}",
                     point=cycle[0], break_value=cycle_breaks[0],
                 )
             raise DivergentCycle(
-                f"orbit of {point(x)} enters the cycle {cycle} with break values "
+                f"orbit of {x} enters the cycle {cycle} with break values "
                 f"{cycle_breaks}",
                 cycle=cycle, break_values=cycle_breaks,
             )
         known.update(dict.fromkeys(cycle, (0, len(cycle))))
-        values = [weight(q) for q in walk[:cut]]
         for i in reversed(range(cut)):
-            total += values[i]
+            total += break_value(g, walk[i], n)
             known[walk[i]] = (total, length - i)
         sums.append(known[x][0])
     return sums
 
 
-def _break_sums(g: PLCircleMap, points, n: int,
-                max_steps: int = 4096) -> list[int]:
-    """Iterated break sums of circle points, in order, walking g itself."""
-    def walk(xs):
-        return _orbit_sums(g, xs, g.evaluate, lambda q: break_value(g, q, n), {},
-                           max_steps=max_steps)
-    # Under classify items 3-5 an off-lattice orbit never meets a break.
-    if any(not is_nadic(x, n) for x in points) and all(classify(g, n).items[2:]):
-        sums = iter(walk([x for x in points if is_nadic(x, n)]))
-        return [next(sums) if is_nadic(x, n) else 0 for x in points]
-    return walk(points)
-
-
 def _cut_walker(P: AffineMarkovPartition):
-    """The map g of P, and break sums at cut points of P named by index,
-    sharing one memo.
+    """The map g of P, its stable level, and break sums at cut points of P
+    named by index.
 
-    g sends cut c to cut n*c mod p, and its break at cut c is the build's
-    break value there (0 off the break cuts), so the sums are integer walks
-    on Z/p.  Building g refuses first; refusals of the walk name cuts by
-    their points.
+    Building g refuses first, then ``stable_level``: the walker is for power
+    form only, p = (n-1)*n^m.  g sends cut c to cut n*c mod p, and its break
+    at cut c is the build's break value there (0 off the break cuts).  That
+    step raises the n-adic valuation of c by one until it reaches m, and
+    the multiples of n^m are its fixed points, so the orbit of c ends within
+    m steps at cut n^m*(c mod (n-1)).  One pass from valuation m - 1 down
+    therefore sums every cut, and a request refuses at its first cut whose
+    fixed point carries a break.
     """
     g, report = build_expanding_map(P)
-    n, p = P.base, P.interval_count
+    K = stable_level(P)
+    n, p, m = P.base, P.interval_count, P.power_exponent
     weights = [0] * p
     for c, (_, value) in zip(P.break_indices(), report.break_values):
         weights[c] = value
-    known: dict[int, tuple[int, int]] = {}
-    return g, lambda cuts: _orbit_sums(g, cuts, lambda c: n * c % p, weights.__getitem__,
-                                       known, P.cut)
+    sums = [0] * p
+    for v in range(m - 1, -1, -1):
+        step = n**v
+        for first in range(step, n * step, step):  # the cuts of valuation v
+            for c in range(first, p, n * step):
+                sums[c] = weights[c] + sums[n * c % p]
+    top = n**m
+
+    def walk(cuts) -> list[int]:
+        for c in cuts:
+            end = top * (c % (n - 1))
+            if weights[end]:
+                raise DivergentFixedPoint(
+                    f"orbit of {P.cut(c)} ends at fixed point {P.cut(end)} with "
+                    f"break value {weights[end]}",
+                    point=P.cut(end), break_value=weights[end],
+                )
+        return [sums[c] for c in cuts]
+
+    return g, K, walk
 
 
 def iterated_break_sum(g: PLCircleMap, x, max_steps: int = 4096,
@@ -199,8 +211,7 @@ def break_sum_table(P: AffineMarkovPartition) -> BreakSumTable:
     finite sums at every one of those vertices; divergence refusals
     propagate.
     """
-    _, walk = _cut_walker(P)
-    K = stable_level(P)
+    _, K, walk = _cut_walker(P)
     if K == 0:
         return BreakSumTable(base=P.base, stable_level=K, entries=())
     return _table(P, K, walk)
@@ -346,7 +357,7 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     if P.base != 2:
         raise ValueError("the piecewise-linearity decision is specific to base 2")
     K = stable_level(P)
-    built, walk = _cut_walker(P)
+    built, _, walk = _cut_walker(P)
     if built != g:
         raise ValueError("g must be the map build_expanding_map(P) returns")
     table = _table(P, K, walk)

@@ -407,10 +407,14 @@ def partition_from_expanding_map(g: PLCircleMap,
     is G^-1(L[t mod m] + r*floor(t/m)): the targets increase with t, so one
     pointer over G's lifted pieces finds each branch and the level comes
     out sorted.  On piece j the inverse branch is x = a_j*y + b_j.  With A
-    the lcm of the denominators of the a_j and B that of the b_j and of the
-    piece starts' images lo_j, level k is kept as integer numerators over
-    B*A^k, so a vertex costs one integer multiply-add and a comparison
-    against the integer threshold lo_j*B*A^(k-1).
+    the lcm of the denominators of the a_j and B a common multiple of those
+    of the b_j and of the piece starts' images lo_j, both read off the
+    numerators and denominators of g's data, level k is kept as integer
+    numerators over B*A^k, so a vertex costs one integer multiply-add and a
+    comparison against the integer threshold lo_j*B*A^(k-1).  The breakpoint
+    orbits that set K are walked with a memo keyed by integer pairs, and
+    the rebuild is the one ``build_expanding_map`` keeps on the partition,
+    so a later build of the returned partition costs nothing.
     """
     r, n = g.circumference, g.degree
     if n < 2:
@@ -419,19 +423,23 @@ def partition_from_expanding_map(g: PLCircleMap,
         raise ValueError("the map must fix 0")
     # A breakpoint lies in some pullback of 0 exactly when its forward orbit
     # lands on 0; otherwise no amount of refinement can cover it.  The walks
-    # share one memo and stop at points already known to land on 0.
+    # share one memo, keyed by numerator and denominator, which hash faster
+    # than the Fractions, and stop at points already known to land on 0.
     max_steps = 4096  # the default budget of ``orbit``
-    landing = {Fraction(0): 1}  # point -> length of its orbit, which ends at 0
-    for b in g.breakpoints:
+    breakpoints = g.breakpoints
+    landing = {(0, 1): 1}  # point -> length of its orbit, which ends at 0
+    for b in breakpoints:
         walk, seen, current = [], set(), b
-        while current not in landing and current not in seen and len(walk) <= max_steps:
-            seen.add(current)
-            walk.append(current)
+        key = b.numerator, b.denominator
+        while key not in landing and key not in seen and len(walk) <= max_steps:
+            seen.add(key)
+            walk.append(key)
             current = g.evaluate(current)
-        length = len(walk) + landing.get(current, 0)
+            key = current.numerator, current.denominator
+        length = len(walk) + landing.get(key, 0)
         if length > max_steps:
             orbit(g, b, max_steps=max_steps)  # raises BudgetExceeded
-        if current not in landing:
+        if key not in landing:
             raise NotAVertex(
                 f"breakpoint {b} never reaches the fixed point, so pullbacks "
                 "of 0 cannot place it on a vertex",
@@ -441,7 +449,8 @@ def partition_from_expanding_map(g: PLCircleMap,
     # b lies in g^-k(0) exactly when g^k(b) = 0, and the pullbacks are
     # nested because 0 is fixed.  A break-free map of degree n >= 3 needs
     # one pullback to leave the n - 1 intervals a partition needs.
-    rounds = max((landing[b] - 1 for b in g.breakpoints), default=0)
+    rounds = max((landing[b.numerator, b.denominator] - 1 for b in breakpoints),
+                 default=0)
     if rounds > max_refinements:
         raise BudgetExceeded(
             f"breakpoints not covered after {max_refinements} pullbacks",
@@ -453,19 +462,26 @@ def partition_from_expanding_map(g: PLCircleMap,
     # at or past r, whose image (at least n*r) stops the pointer.
     lifted = g._lifted_boundaries(0)
     at, value, slope = next(lifted)
-    shift = value - slope * at  # the lift's value at 0, a multiple of r
-    pieces = [(at, value - shift, slope)]
+    shift = int(value - slope * at)  # the lift's value at 0, a multiple of r
+    pieces = [(at, value, slope)]
     while pieces[-1][0] < r:
-        at, value, slope = next(lifted)
-        pieces.append((at, value - shift, slope))
-    # Inverse branches x = a*y + b with a = 1/slope, b = start - lo/slope.
-    alphas = [1 / s for _, _, s in pieces[:-1]]
-    betas = [c - lo * a for (c, lo, _), a in zip(pieces, alphas)]
-    A = lcm(*(a.denominator for a in alphas))
-    B = lcm(*(b.denominator for b in betas), *(lo.denominator for _, lo, _ in pieces))
-    factors = [a.numerator * (A // a.denominator) for a in alphas]
-    lows = [lo.numerator * (B // lo.denominator) for _, lo, _ in pieces]
-    offsets = [b.numerator * (B // b.denominator) for b in betas]
+        pieces.append(next(lifted))
+    # On piece j, with start c, slope s = sn/sd and lift value v there, the
+    # inverse branch is x = a*y + b with a = sd/sn and b = c - lo*sd/sn,
+    # where lo = v - shift.  A is the lcm of the sn, and B a common multiple
+    # of the denominators of the c, the v and the v/sn: then lo*B is a
+    # multiple of sn, and b*B = c*B - lo*B*sd/sn an integer.  Any common
+    # multiple will do, as the weights are divided by their gcd at the end.
+    branches = pieces[:-1]
+    A = lcm(*(s.numerator for _, _, s in branches))
+    B = lcm(*(c.denominator for c, _, _ in branches),
+            *(v.denominator * s.numerator for _, v, s in branches),
+            pieces[-1][1].denominator)
+    lows = [(v.numerator - shift * v.denominator) * (B // v.denominator)
+            for _, v, _ in pieces]
+    factors = [s.denominator * (A // s.numerator) for _, _, s in branches]
+    offsets = [c.numerator * (B // c.denominator) - low * s.denominator // s.numerator
+               for (c, _, s), low in zip(branches, lows)]
     level, scale = [0], 1  # numerators over B*A^k; scale is A^k
     for _ in range(rounds):
         thresholds = [lo * scale for lo in lows]

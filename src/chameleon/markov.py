@@ -35,12 +35,12 @@ class AffineMarkovPartition:
     The partition is kept as integers: the weights, their prefix sums (cut i
     is ``r * prefix_sums[i] / W``, W the total weight) and the blocks.  The
     ``Fraction`` tuples ``endpoints`` and ``slopes`` are formed on first
-    read and kept.
+    read and kept, and so is what ``build_expanding_map`` returns for it.
     """
 
     __slots__ = ("base", "lengths", "interval_count", "total_weight", "unit",
                  "circumference", "prefix_sums", "blocks", "power_exponent",
-                 "_break_indices", "_endpoints", "_slopes")
+                 "_break_indices", "_endpoints", "_slopes", "_built")
 
     def __init__(self, base: int, lengths) -> None:
         if isinstance(base, bool) or not isinstance(base, int) or base < 2:
@@ -66,6 +66,7 @@ class AffineMarkovPartition:
         object.__setattr__(self, "prefix_sums", cum)
         object.__setattr__(self, "_endpoints", None)
         object.__setattr__(self, "_slopes", None)
+        object.__setattr__(self, "_built", None)
         # Block i is the total weight of the base-many intervals that the
         # branch over interval i stretches across: the weight between the
         # lifted cuts n*i and n*(i+1), where lifted cut k sits at weight
@@ -181,8 +182,17 @@ def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildRep
 
     Refuses when a branch slope is not a power of the base or a cut point is
     not a base-n fraction — in either case no base-n map realizes the
-    partition.
+    partition.  The pair is built once per partition and kept on it, like
+    ``endpoints``, so every later call returns the same objects; a refusal
+    keeps nothing and is raised again on the next call.
     """
+    if P._built is None:
+        object.__setattr__(P, "_built", _build(P))
+    return P._built
+
+
+def _build(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildReport]:
+    """The work of ``build_expanding_map``, done once per partition."""
     n, p, r = P.base, P.interval_count, P.circumference
     blocks, w = P.blocks, P.lengths
     break_indices = P.break_indices()

@@ -16,12 +16,23 @@ holds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
-from chameleon.errors import EndpointNotNAdic, NotMarkov, SlopeNotPowerOfN
+from chameleon.errors import (
+    BudgetExceeded,
+    EndpointNotNAdic,
+    NotAVertex,
+    NotMarkov,
+    SlopeNotPowerOfN,
+)
 from chameleon.exact import is_nadic, power_exponent
-from chameleon.maps import PLCircleMap
-from chameleon.markov import AffineMarkovPartition, PartitionLevelTable
+from chameleon.maps import PLCircleMap, orbit
+from chameleon.markov import (
+    AffineMarkovPartition,
+    PartitionLevelTable,
+    build_expanding_map,
+)
 
 
 def eager_endpoints(P: AffineMarkovPartition) -> tuple[Fraction, ...]:
@@ -127,3 +138,79 @@ def refine(table: PartitionLevelTable, n: int) -> PartitionLevelTable:
             new_values.append(vals[N] + length * acc / span)
     return PartitionLevelTable(level=table.level + 1, values=tuple(new_values),
                                circumference=table.circumference)
+
+
+def fraction_recovery(g: PLCircleMap, max_refinements: int = 20) -> AffineMarkovPartition:
+    """``partition_from_expanding_map`` on ``Fraction``s: the landing walk
+    keyed by the points themselves, and the inverse branches x = a*y + b
+    formed as ``Fraction``s before they are put over one denominator."""
+    r, n = g.circumference, g.degree
+    if n < 2:
+        raise ValueError("need an expanding map of degree at least 2")
+    if g.evaluate(Fraction(0)) != 0:
+        raise ValueError("the map must fix 0")
+    max_steps = 4096
+    landing = {Fraction(0): 1}
+    for b in g.breakpoints:
+        walk, seen, current = [], set(), b
+        while current not in landing and current not in seen and len(walk) <= max_steps:
+            seen.add(current)
+            walk.append(current)
+            current = g.evaluate(current)
+        length = len(walk) + landing.get(current, 0)
+        if length > max_steps:
+            orbit(g, b, max_steps=max_steps)
+        if current not in landing:
+            raise NotAVertex(
+                f"breakpoint {b} never reaches the fixed point, so pullbacks "
+                "of 0 cannot place it on a vertex",
+                point=b,
+            )
+        landing.update((q, length - i) for i, q in enumerate(walk))
+    rounds = max((landing[b] - 1 for b in g.breakpoints), default=0)
+    if rounds > max_refinements:
+        raise BudgetExceeded(
+            f"breakpoints not covered after {max_refinements} pullbacks",
+            limit=max_refinements,
+        )
+    if n > 2:
+        rounds = max(rounds, 1)
+    lifted = g._lifted_boundaries(0)
+    at, value, slope = next(lifted)
+    shift = value - slope * at
+    pieces = [(at, value - shift, slope)]
+    while pieces[-1][0] < r:
+        at, value, slope = next(lifted)
+        pieces.append((at, value - shift, slope))
+    alphas = [1 / s for _, _, s in pieces[:-1]]
+    betas = [c - lo * a for (c, lo, _), a in zip(pieces, alphas)]
+    A = lcm(*(a.denominator for a in alphas))
+    B = lcm(*(b.denominator for b in betas), *(lo.denominator for _, lo, _ in pieces))
+    factors = [a.numerator * (A // a.denominator) for a in alphas]
+    lows = [lo.numerator * (B // lo.denominator) for _, lo, _ in pieces]
+    offsets = [b.numerator * (B // b.denominator) for b in betas]
+    level, scale = [0], 1
+    for _ in range(rounds):
+        thresholds = [lo * scale for lo in lows]
+        lap = r * B * scale
+        scale *= A
+        terms = [b * scale for b in offsets]
+        fresh, j = [], 0
+        factor, term, following = factors[0], terms[0], thresholds[1]
+        for w in range(n):
+            base = w * lap
+            for v in level:
+                y = v + base
+                while y >= following:
+                    j += 1
+                    factor, term, following = factors[j], terms[j], thresholds[j + 1]
+                fresh.append(factor * y + term)
+        level = fresh
+    weights = [b - a for a, b in zip(level, level[1:])]
+    weights.append(r * B * scale - level[-1])
+    unit = gcd(*weights)
+    P = AffineMarkovPartition(n, [w // unit for w in weights])
+    rebuilt, _ = build_expanding_map(P)
+    if rebuilt != g:
+        raise NotMarkov("recovered cut points do not rebuild the map", index=-1)
+    return P

@@ -115,7 +115,7 @@ class TestVerifyBlockLaws:
 class TestExhaustiveScan:
     @pytest.mark.parametrize("length", (2, 4, 8))
     @pytest.mark.parametrize("alphabet", ((0, 1), (-1, 0, 1), (0, 1, 2, 3)))
-    def test_backends_agree(self, length, alphabet):
+    def test_tallies(self, length, alphabet):
         """Every sequence is checked, all but the constant ones are
         nonconstant, and no law fails."""
         report = exhaustive_scan(length, alphabet)

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import subdivision_conjugate
+from conftest import corpus_partition, subdivision_conjugate
+from level_oracles import build_by_interval
 
 from chameleon.breaks import (
     BreakSumTable,
@@ -333,21 +334,28 @@ class TestIndexWalk:
         assert {BreakSumTable, NotPowerForm, DivergentFixedPoint} <= kinds
 
     def test_sums_at_every_cut_match(self, examples, random_conjugate_factory):
-        """Every cut point, one at a time and all in one call, in power form
-        or not (the walk on Z/p needs only the map of the partition)."""
+        """Every cut point, one at a time and all in one call.  The walker
+        takes power-form partitions only, the form its callers reach after
+        ``stable_level``, and refuses the others as ``stable_level`` does."""
         kinds = set()
         for partition, g in self.corpus(examples, random_conjugate_factory):
             n = partition.base
+            if partition.power_exponent is None:
+                got = outcome(lambda: _cut_walker(partition))
+                assert got == outcome(lambda: stable_level(partition))
+                kinds.add(got[0])
+                continue
             cuts = range(partition.interval_count)
-            _, walk = _cut_walker(partition)
+            _, K, walk = _cut_walker(partition)
+            assert K == stable_level(partition)
             for c in cuts:
                 assert (outcome(lambda: walk([c]))
                         == outcome(lambda: _break_sums(g, [partition.endpoints[c]], n)))
-            got = outcome(lambda: _cut_walker(partition)[1](cuts))
+            got = outcome(lambda: walk(cuts))
             assert got == outcome(lambda: _break_sums(g, partition.endpoints, n))
             if isinstance(got, tuple):
                 kinds.add(got[0])
-        assert kinds == {DivergentFixedPoint, DivergentCycle}
+        assert kinds == {NotPowerForm, DivergentFixedPoint}
 
     def test_a_map_other_than_the_partitions_is_refused(self, examples):
         partition, _, _ = examples["1"]
@@ -355,6 +363,20 @@ class TestIndexWalk:
         for g in (other, multiplication_map(2)):
             with pytest.raises(ValueError):
                 pl_criterion(g, partition)
+
+    def test_the_kept_map_admits_an_equal_map_only(self, examples):
+        """With the build kept on the partition, the guard still compares
+        maps: an equal map built apart is decided, a foreign one refused."""
+        partition = AffineMarkovPartition(2, examples["1"][0].lengths)
+        kept, _ = build_expanding_map(partition)
+        apart, _ = build_by_interval(partition)
+        assert apart is not kept
+        assert pl_criterion(apart, partition) == pl_criterion(kept, partition)
+        _, other, _ = examples["3"]
+        for g in (other, multiplication_map(2)):
+            with pytest.raises(ValueError):
+                pl_criterion(g, partition)
+        assert build_expanding_map(partition)[0] is kept
 
     def test_the_map_is_refused_before_the_power_form(self):
         """[1, 2, 4] is neither Markov nor in power form: building its map
@@ -364,6 +386,61 @@ class TestIndexWalk:
             break_sum_table(partition)
         with pytest.raises(SlopeNotPowerOfN):
             find_break_sum_discrepancy(partition, VertexRef(1, 1), VertexRef(1, 1))
+
+
+# Base-3 power-form partitions (p = 18) whose map breaks at a fixed point:
+# at 0, and rotated by half the circle, at 1.
+DIVERGENT_BASE_THREE = "1,5,3,27,9,9,3,15,9,9,9,9,3,15,9,9,9,9"
+DIVERGENT_BASE_THREE_ROTATED = "9,9,9,3,15,9,9,9,9,1,5,3,27,9,9,3,15,9"
+
+ONE_PASS_CORPUS = (
+    [f"example {i}" for i in ("1", "3", "4")]
+    + [f"factory {seed}" for seed in range(12)]
+    + [f"subdivision {n} {seed}" for n in (2, 3, 4, 5) for seed in range(4)]
+    + [f"uniform {n}" for n in (2, 3, 4)]
+    + [f"weights 3 {DIVERGENT_BASE_THREE}", f"weights 3 {DIVERGENT_BASE_THREE_ROTATED}"]
+)
+
+
+class TestOnePassSums:
+    """The cut walker's one pass over the power form, against the Fraction
+    walk of the map at the cut points: values and refusals, messages and
+    fields included."""
+
+    @staticmethod
+    def compare(partition):
+        g, _ = build_expanding_map(partition)
+        n, p = partition.base, partition.interval_count
+        _, _, walk = _cut_walker(partition)
+        outcomes = []
+        for cuts in [[c] for c in range(p)] + [list(range(p)), list(range(p))[::-1]]:
+            got = outcome(lambda: walk(cuts))
+            assert got == outcome(lambda: _break_sums(
+                g, [partition.endpoints[c] for c in cuts], n))
+            outcomes.append(got)
+        return outcomes
+
+    @pytest.mark.parametrize("key", ONE_PASS_CORPUS)
+    def test_sums_and_refusals_match_the_fraction_walk(
+            self, key, examples, random_conjugate_factory):
+        partition = corpus_partition(key, examples, random_conjugate_factory)
+        assert partition.power_exponent is not None
+        self.compare(partition)
+
+    @pytest.mark.parametrize("weights", (DIVERGENT_BASE_THREE,
+                                         DIVERGENT_BASE_THREE_ROTATED))
+    def test_each_fixed_point_of_base_three_refuses_its_own_class(self, weights):
+        """Cut c ends at the fixed point 9*(c mod 2); only the class of the
+        breaking one refuses, so both answers occur in one partition."""
+        partition = AffineMarkovPartition(3, [int(w) for w in weights.split(",")])
+        singles = self.compare(partition)[:partition.interval_count]
+        bad = 0 if weights == DIVERGENT_BASE_THREE else 1
+        for c, got in enumerate(singles):
+            if c % 2 == bad:
+                assert got[0] is DivergentFixedPoint
+                assert got[2] == {"point": partition.cut(9 * bad), "break_value": 1}
+            else:
+                assert isinstance(got, list)
 
 
 class TestBreakSumTable:

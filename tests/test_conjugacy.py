@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_partition, rescaled_level_partition, subdivision_conjugate
-from level_oracles import law_witness
+import level_oracles
+from level_oracles import fraction_recovery, law_witness
 
 from chameleon import conjugacy, markov
 from chameleon.conjugacy import (
@@ -29,6 +30,7 @@ from chameleon.errors import (
     FixedPointsNotVertices,
     NeutralBranch,
     NotAVertex,
+    NotMarkov,
     NotPL,
     OddCount,
     ParseError,
@@ -842,6 +844,67 @@ class TestRecoveryAgainstOracle:
         for budget in range(0, 6):
             assert (recovery_outcome(lambda: partition_from_expanding_map(g, budget))
                     == recovery_outcome(lambda: recovery_oracle(g, budget)))
+
+
+class TestRecoveryAgainstFractionWalk:
+    """Recovery on integer keys and integer branches, against the same
+    algorithm on Fractions: the same partition or the same refusal, with
+    its message and fields."""
+
+    @staticmethod
+    def agree(g, max_refinements=20):
+        got = recovery_outcome(lambda: partition_from_expanding_map(g, max_refinements))
+        assert got == recovery_outcome(lambda: fraction_recovery(g, max_refinements))
+        return got
+
+    def test_roundtrip_draws_of_every_size(self):
+        """The roundtrip draws of seeds 1 and 2, which include the p <= 32
+        and p = 1024 classes the benchmark leaves out, and a break-free
+        conjugate (p = 1)."""
+        sizes = {self.agree(g).interval_count
+                 for g in roundtrip_maps(1, 80) + roundtrip_maps(2, 30)}
+        assert {1, 8, 16, 32, 64, 128, 256, 512, 1024} <= sizes
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_subdivision_conjugates(self, n):
+        for seed in range(4):
+            assert isinstance(self.agree(subdivision_conjugate(seed, n)[1]),
+                              AffineMarkovPartition)
+
+    def test_maps_whose_first_boundary_is_past_zero(self):
+        maps = [g for g in roundtrip_maps(0, 40) if g.boundaries[0] > 0]
+        assert len(maps) >= 5
+        for g in maps:
+            assert isinstance(self.agree(g), AffineMarkovPartition)
+
+    @pytest.mark.parametrize("example_id", ("2", "5"))
+    def test_breaks_off_the_zero_orbit(self, examples, example_id):
+        got = self.agree(examples[example_id][1])
+        assert got[0] is NotAVertex
+        assert got[2]["point"] in examples[example_id][1].breakpoints
+
+    def test_slope_ratios_off_the_powers(self):
+        h = PLCircleMap(1, 1, [0, F(1, 4), F(1, 2)], [1, F(3, 2), F(3, 4)], 0)
+        g = h.compose(multiplication_map(2)).compose(h.invert())
+        assert self.agree(g)[0] is SlopeNotPowerOfN
+
+    @pytest.mark.parametrize("example_id", ("1", "3", "4"))
+    def test_refinement_budgets(self, examples, example_id):
+        g = examples[example_id][1]
+        refused = [self.agree(g, budget) for budget in range(6)]
+        assert any(isinstance(got, tuple) and got[0] is BudgetExceeded for got in refused)
+
+    def test_a_rebuild_that_misses_the_map(self, examples, monkeypatch):
+        """The rebuild gate refuses with NotMarkov in both, here by a build
+        that returns some other map."""
+        def other_map(partition):
+            return multiplication_map(partition.base), None
+
+        monkeypatch.setattr(conjugacy, "build_expanding_map", other_map)
+        monkeypatch.setattr(level_oracles, "build_expanding_map", other_map)
+        for example_id in ("1", "3", "4"):
+            got = self.agree(examples[example_id][1])
+            assert got[0] is NotMarkov and got[2] == {"index": -1}
 
 
 class TestPartitionRecovery:

@@ -181,8 +181,9 @@ class TestConstruction:
                         == outcome(build_by_interval, partition)), lengths
 
     def test_build_neither_validates_nor_evaluates(self, buildable, circle_map_calls):
+        # Fresh copies, as the fixture's partitions may hold their maps already.
         for partition in buildable:
-            build_expanding_map(partition)
+            build_expanding_map(AffineMarkovPartition(partition.base, partition.lengths))
         assert circle_map_calls == []
 
     @pytest.mark.parametrize(
@@ -222,6 +223,51 @@ class TestConstruction:
         path.write_text(payload)
         with pytest.raises(ParseError):
             AffineMarkovPartition.from_file(str(path))
+
+
+class TestBuildCache:
+    """``build_expanding_map`` keeps its pair on the partition."""
+
+    @pytest.mark.parametrize("key", ["example 1", "example 5", "uniform 3",
+                                     "subdivision 4 0", "weights 2 3,3"])
+    def test_a_second_build_returns_the_same_pair(self, key, examples,
+                                                  random_conjugate_factory):
+        partition = corpus_partition(key, examples, random_conjugate_factory)
+        fresh = AffineMarkovPartition(partition.base, partition.lengths)
+        first = build_expanding_map(fresh)
+        assert build_expanding_map(fresh) is first
+        g, report = first
+        reference, breaks = build_by_interval(fresh)
+        assert circle_map_data(g) == circle_map_data(reference)
+        assert report.break_values == breaks
+
+    @pytest.mark.parametrize("base,lengths,error", [
+        (2, [1, 3], SlopeNotPowerOfN),
+        (2, [1, 1, 1], EndpointNotNAdic),
+        (3, [1, 1, 1, 1, 1], EndpointNotNAdic),
+    ])
+    def test_a_refusal_is_raised_on_every_call_and_kept_nowhere(self, base, lengths,
+                                                                error):
+        partition = AffineMarkovPartition(base, lengths)
+        refusals = []
+        for _ in range(3):
+            with pytest.raises(error) as got:
+                build_expanding_map(partition)
+            refusals.append((str(got.value), vars(got.value)))
+            assert partition._built is None
+        assert refusals[0] == refusals[1] == refusals[2]
+
+    def test_the_cache_leaves_equality_and_hash_alone(self, examples):
+        for partition, _, _ in examples.values():
+            built = AffineMarkovPartition(partition.base, partition.lengths)
+            bare = AffineMarkovPartition(partition.base, partition.lengths)
+            before = hash(built)
+            build_expanding_map(built)
+            assert built._built is not None
+            assert bare._built is None
+            assert built == bare and bare == built
+            assert hash(built) == hash(bare) == before
+            assert len({built, bare}) == 1
 
 
 def record_break(record: dict, point: str) -> int:
