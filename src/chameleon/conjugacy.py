@@ -15,7 +15,7 @@ import bisect
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import (
@@ -217,26 +217,21 @@ class Conjugator:
 def _law_witness(level: IntegerLevel, g: PLCircleMap) -> Optional[tuple]:
     """The first vertex N with g(T[N]) != T[n*N mod M], as (N, want, got).
 
-    One pointer over the lift's pieces walks the sorted level.  Scaled by
-    the level's denominator D, the lift on a piece is (u + v*X)/q for
-    integers u, v and q, so vertex X lands on the level's lattice exactly
-    when q divides u + v*X, and on vertex Y when the quotient is Y mod r*D.
-    Fractions are formed only for the witness.
+    One pointer over the lift's pieces walks the sorted level.  On a piece
+    with start B/D, lift value V/D there and slope sn/sd, the lift scaled
+    by the level's denominator E is (u + v*X)/q at X, with u = E*(V*sd -
+    sn*B), v = sn*D and q = D*sd.  So vertex X lands on the level's lattice
+    exactly when q divides u + v*X, and on vertex Y when the quotient is Y
+    mod r*E.  Fractions are formed only for the witness.
     """
-    X, D = level.numerators, level.denominator
+    X, E = level.numerators, level.denominator
     n, M = g.degree, len(X)
-    lap = g.circumference * D
+    D = g._den
+    lap = g.circumference * E
     # (start threshold, u, v, q) for the pieces from the one owning 0 to
     # the first boundary at or past r, whose threshold stops the pointer.
-    pieces = []
-    for at, value, slope in g._lifted_boundaries(0):
-        start = at * D
-        offset = value * D - slope * start
-        q = lcm(offset.denominator, slope.denominator)
-        pieces.append((ceil(start), offset.numerator * (q // offset.denominator),
-                       slope.numerator * (q // slope.denominator), q))
-        if start >= lap:
-            break
+    pieces = [(-(-B * E // D), E * (V * sd - sn * B), sn * D, D * sd)
+              for B, V, (sn, sd) in g._pieces_from_zero()]
     j, (start, u, v, q), following = 0, pieces[0], pieces[1][0]
     for N, x in enumerate(X):
         if not start <= x < lap:  # only a level out of order: restart at 0
@@ -248,7 +243,7 @@ def _law_witness(level: IntegerLevel, g: PLCircleMap) -> Optional[tuple]:
         image, rest = divmod(u + v * x, q)
         want = X[n * N % M]
         if rest or image % lap != want:
-            return N, Fraction(want, D), g.evaluate(Fraction(X[N], D))
+            return N, Fraction(want, E), g.evaluate(Fraction(X[N], E))
     return None
 
 
@@ -406,51 +401,50 @@ def partition_from_expanding_map(g: PLCircleMap,
     fixing 0 and L the m sorted vertices of level k - 1, vertex t of level k
     is G^-1(L[t mod m] + r*floor(t/m)): the targets increase with t, so one
     pointer over G's lifted pieces finds each branch and the level comes
-    out sorted.  On piece j the inverse branch is x = a_j*y + b_j.  With A
-    the lcm of the denominators of the a_j and B a common multiple of those
-    of the b_j and of the piece starts' images lo_j, both read off the
-    numerators and denominators of g's data, level k is kept as integer
-    numerators over B*A^k, so a vertex costs one integer multiply-add and a
-    comparison against the integer threshold lo_j*B*A^(k-1).  The breakpoint
-    orbits that set K are walked with a memo keyed by integer pairs, and
-    the rebuild is the one ``build_expanding_map`` keeps on the partition,
-    so a later build of the returned partition costs nothing.
+    out sorted.  The branches are read off g's integers: with D its
+    denominator and A the lcm of its slope numerators, level k is kept as
+    integer numerators over D*A^k, so a vertex costs one integer
+    multiply-add and a comparison against the integer start of its branch.
+    The breakpoint orbits that set K are walked on reduced integer pairs,
+    and the rebuild is the one ``build_expanding_map`` keeps on the
+    partition, so a later build of the returned partition costs nothing.
     """
     r, n = g.circumference, g.degree
     if n < 2:
         raise ValueError("need an expanding map of degree at least 2")
-    if g.evaluate(Fraction(0)) != 0:
+    if g._image(0, 1)[0]:
         raise ValueError("the map must fix 0")
     # A breakpoint lies in some pullback of 0 exactly when its forward orbit
     # lands on 0; otherwise no amount of refinement can cover it.  The walks
-    # share one memo, keyed by numerator and denominator, which hash faster
-    # than the Fractions, and stop at points already known to land on 0.
+    # share one memo and stop at points already known to land on 0.  After
+    # normalisation every boundary of a map with breaks is a breakpoint.
     max_steps = 4096  # the default budget of ``orbit``
-    breakpoints = g.breakpoints
+    D = g._den
+    breakpoints = []
+    for b in g._bnums if len(g._bnums) > 1 else ():
+        c = gcd(b, D)
+        breakpoints.append((b // c, D // c))
     landing = {(0, 1): 1}  # point -> length of its orbit, which ends at 0
     for b in breakpoints:
         walk, seen, current = [], set(), b
-        key = b.numerator, b.denominator
-        while key not in landing and key not in seen and len(walk) <= max_steps:
-            seen.add(key)
-            walk.append(key)
-            current = g.evaluate(current)
-            key = current.numerator, current.denominator
-        length = len(walk) + landing.get(key, 0)
+        while current not in landing and current not in seen and len(walk) <= max_steps:
+            seen.add(current)
+            walk.append(current)
+            current = g._image(*current)
+        length = len(walk) + landing.get(current, 0)
         if length > max_steps:
-            orbit(g, b, max_steps=max_steps)  # raises BudgetExceeded
-        if key not in landing:
+            orbit(g, Fraction(*b), max_steps=max_steps)  # raises BudgetExceeded
+        if current not in landing:
             raise NotAVertex(
-                f"breakpoint {b} never reaches the fixed point, so pullbacks "
-                "of 0 cannot place it on a vertex",
-                point=b,
+                f"breakpoint {Fraction(*b)} never reaches the fixed point, so "
+                "pullbacks of 0 cannot place it on a vertex",
+                point=Fraction(*b),
             )
         landing.update((q, length - i) for i, q in enumerate(walk))
     # b lies in g^-k(0) exactly when g^k(b) = 0, and the pullbacks are
     # nested because 0 is fixed.  A break-free map of degree n >= 3 needs
     # one pullback to leave the n - 1 intervals a partition needs.
-    rounds = max((landing[b.numerator, b.denominator] - 1 for b in breakpoints),
-                 default=0)
+    rounds = max((landing[b] - 1 for b in breakpoints), default=0)
     if rounds > max_refinements:
         raise BudgetExceeded(
             f"breakpoints not covered after {max_refinements} pullbacks",
@@ -459,35 +453,25 @@ def partition_from_expanding_map(g: PLCircleMap,
     if n > 2:
         rounds = max(rounds, 1)
     # G's pieces over [0, r), from the one owning 0, and the first boundary
-    # at or past r, whose image (at least n*r) stops the pointer.
-    lifted = g._lifted_boundaries(0)
-    at, value, slope = next(lifted)
-    shift = int(value - slope * at)  # the lift's value at 0, a multiple of r
-    pieces = [(at, value, slope)]
-    while pieces[-1][0] < r:
-        pieces.append(next(lifted))
-    # On piece j, with start c, slope s = sn/sd and lift value v there, the
-    # inverse branch is x = a*y + b with a = sd/sn and b = c - lo*sd/sn,
-    # where lo = v - shift.  A is the lcm of the sn, and B a common multiple
-    # of the denominators of the c, the v and the v/sn: then lo*B is a
-    # multiple of sn, and b*B = c*B - lo*B*sd/sn an integer.  Any common
-    # multiple will do, as the weights are divided by their gcd at the end.
+    # at or past r, whose image (at least n*r) stops the pointer; starts and
+    # values are numerators over D.  On piece j, with start c, slope sn/sd
+    # and G(c) = lo, the inverse branch is x = c + (y - lo)*sd/sn.  With
+    # y = Y/(D*A^(k-1)) and x = X/(D*A^k) that is X = f*Y + A^(k-1)*(c*A -
+    # f*lo), where f = sd*A/sn is an integer.
+    pieces = g._pieces_from_zero()
+    at, value, (sn, sd) = pieces[0]
+    shift = (value * sd - at * sn) // sd  # G(0), a multiple of r
+    lows = [v - shift for _, v, _ in pieces]
     branches = pieces[:-1]
-    A = lcm(*(s.numerator for _, _, s in branches))
-    B = lcm(*(c.denominator for c, _, _ in branches),
-            *(v.denominator * s.numerator for _, v, s in branches),
-            pieces[-1][1].denominator)
-    lows = [(v.numerator - shift * v.denominator) * (B // v.denominator)
-            for _, v, _ in pieces]
-    factors = [s.denominator * (A // s.numerator) for _, _, s in branches]
-    offsets = [c.numerator * (B // c.denominator) - low * s.denominator // s.numerator
-               for (c, _, s), low in zip(branches, lows)]
-    level, scale = [0], 1  # numerators over B*A^k; scale is A^k
+    A = lcm(*[sn for _, _, (sn, _) in branches])
+    factors = [sd * (A // sn) for _, _, (sn, sd) in branches]
+    offsets = [c * A - f * lo for (c, _, _), f, lo in zip(branches, factors, lows)]
+    level, scale = [0], 1  # numerators over D*A^k; scale is A^k
     for _ in range(rounds):
         thresholds = [lo * scale for lo in lows]
-        lap = r * B * scale  # r over the denominator of level k - 1
-        scale *= A
+        lap = r * D * scale  # r over the denominator of level k - 1
         terms = [b * scale for b in offsets]
+        scale *= A
         fresh, j = [], 0
         factor, term, following = factors[0], terms[0], thresholds[1]
         for w in range(n):
@@ -500,7 +484,7 @@ def partition_from_expanding_map(g: PLCircleMap,
                 fresh.append(factor * y + term)
         level = fresh
     weights = [b - a for a, b in zip(level, level[1:])]
-    weights.append(r * B * scale - level[-1])
+    weights.append(r * D * scale - level[-1])
     unit = gcd(*weights)
     P = AffineMarkovPartition(n, [w // unit for w in weights])
     rebuilt, _ = build_expanding_map(P)

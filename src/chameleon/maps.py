@@ -13,6 +13,14 @@ Two representations:
 Both normalise on construction (zero-break boundaries are merged, values are
 reduced), so structural equality coincides with equality as functions.
 
+A ``PLCircleMap`` is kept as integers: its boundaries and its lift's values
+at them as numerators over their least common denominator D, and its slopes
+as reduced integer pairs.  ``evaluate`` finds a point's piece with one
+integer bisection, ``compose`` sweeps numerators over a common multiple of
+both maps' denominators and reduces once at the end, and ``invert`` swaps
+the boundary and lift numerators.  The ``Fraction`` tuples ``boundaries``,
+``slopes`` and ``value_at_first`` are formed on first read.
+
 The public ``PLCircleMap`` constructor validates and normalises whatever it
 is given.  Three paths skip that work because their data is already normal
 by construction and the checks would only repeat what they know:
@@ -21,8 +29,9 @@ composite slope changes), ``PLCircleMap.invert`` (the images of the breaks,
 whose lift values are the original boundaries) and
 ``markov.build_expanding_map`` (the breaks of a partition, whose lift values
 are read off the cut permutation).  They build through the private
-``PLCircleMap._from_lift``, which only anchors the data; the tests compare
-each with the validated constructor on the same data.
+``PLCircleMap._from_lift``, which only anchors the data and puts it over its
+least denominator; the tests compare each with the validated constructor on
+the same data.
 
 Tuples on hot paths are built from lists.  ``tuple()`` of a generator or of
 ``zip`` starts from ten slots and resizes, so such a tuple is drawn from one
@@ -35,6 +44,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator
 
 from .errors import (
@@ -90,79 +100,109 @@ class AffinePiece:
 class PLCircleMap:
     """Orientation preserving piecewise affine circle map of degree >= 1.
 
-    Stored data: integer ``circumference`` r, integer ``degree`` d, a strictly
+    Data: integer ``circumference`` r, integer ``degree`` d, a strictly
     increasing tuple ``boundaries`` in [0, r), a matching tuple of positive
     ``slopes`` (slope i rules the arc from boundary i to the next boundary,
     counterclockwise), and the value at the first boundary, reduced to [0, r).
-    The lift over the window [b0, b0 + r) is continuous and rises by d*r; its
-    value at each boundary is computed once here and kept privately.
+    The lift over the window [b0, b0 + r) is continuous and rises by d*r.
+
+    The map is kept as integers: D, the least common denominator of the
+    boundaries and of the lift's values at them; the numerators of both over
+    D; and each slope as a reduced (numerator, denominator) pair.  Since D is
+    least, these integers are as canonical as the ``Fraction`` data, which
+    ``boundaries``, ``slopes`` and ``value_at_first`` form on first read.
 
     Construction normalises: boundaries whose two sides share a slope are
     merged, and a break-free map is anchored at 0.  The boundary point itself
     belongs to the piece on its right.
     """
 
-    __slots__ = ("circumference", "degree", "boundaries", "slopes", "value_at_first",
-                 "_lift")
+    __slots__ = ("circumference", "degree", "_den", "_bnums", "_lnums", "_slope_pairs",
+                 "_boundaries", "_slopes", "_lift_values")
 
     def __init__(self, circumference, degree, boundaries, slopes, value_at_first):
-        r = int(circumference)
-        d = int(degree)
-        if r < 1 or r != circumference:
+        r, d = circumference, degree
+        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
             raise ValueError("circumference must be a positive integer")
-        if d < 1 or d != degree:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             raise ValueError("degree must be a positive integer")
-        bs = tuple([as_fraction(b) for b in boundaries])
-        ss = tuple([as_fraction(s) for s in slopes])
+        bs = [as_fraction(b) for b in boundaries]
+        ss = [as_fraction(s) for s in slopes]
         if not bs or len(bs) != len(ss):
             raise ValueError("need one slope per boundary, at least one of each")
-        if any(not (0 <= b < r) for b in bs):
+        # The boundaries as numerators over their least common denominator E.
+        E = lcm(*[b.denominator for b in bs])
+        B = [b.numerator * (E // b.denominator) for b in bs]
+        if min(B) < 0 or max(B) >= r * E:
             raise ValueError("boundaries must be reduced to [0, r)")
-        if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
+        if any(b2 <= b1 for b1, b2 in zip(B, B[1:])):
             raise ValueError("boundaries must be strictly increasing")
-        if any(s <= 0 for s in ss):
+        pairs = [(s.numerator, s.denominator) for s in ss]
+        if any(sn <= 0 for sn, _ in pairs):
             raise ValueError("slopes must be positive")
-        # The lift at each boundary over the window [b0, b0 + r).
-        lift = [reduce_to_circle(as_fraction(value_at_first), r)]
-        for i in range(len(bs) - 1):
-            lift.append(lift[-1] + ss[i] * (bs[i + 1] - bs[i]))
-        total = lift[-1] + ss[-1] * (bs[0] + r - bs[-1]) - lift[0]
-        if total != d * r:
+        # The lift at each boundary over the window [b0, b0 + r), as
+        # numerators over Q, a multiple of E times each slope's denominator
+        # and of the value's denominator.
+        v0 = as_fraction(value_at_first)
+        Q = lcm(E * lcm(*[sd for _, sd in pairs]), v0.denominator)
+        unit = Q // E
+        lift = [v0.numerator * (Q // v0.denominator) % (r * Q)]
+        for (sn, sd), b1, b2 in zip(pairs, B, B[1:]):
+            lift.append(lift[-1] + sn * (unit // sd) * (b2 - b1))
+        sn, sd = pairs[-1]
+        total = lift[-1] + sn * (unit // sd) * (B[0] + r * E - B[-1]) - lift[0]
+        if total != d * r * Q:
             raise ValueError(
-                f"slopes integrate to {total}, expected degree*circumference {d * r}"
+                f"slopes integrate to {Fraction(total, Q)}, expected "
+                f"degree*circumference {d * r}"
             )
 
         # Normalise: keep only boundaries where the slope actually changes;
         # a break-free map keeps its first one.
-        keep = [i for i in range(len(bs)) if ss[i] != ss[i - 1]] or [0]
-        self._anchor(r, d, tuple([bs[i] for i in keep]), tuple([ss[i] for i in keep]),
+        keep = [i for i in range(len(B)) if pairs[i] != pairs[i - 1]] or [0]
+        self._anchor(r, d, Q, [B[i] * unit for i in keep], [pairs[i] for i in keep],
                      [lift[i] for i in keep])
 
-    def _anchor(self, r: int, d: int, bs: tuple, ss: tuple, lift) -> None:
-        """Store normal data: a single boundary is a break-free map, whose
-        slope is forced to equal the degree and which is anchored at 0, and
-        the lift is shifted by a multiple of r into [0, r) at its start."""
-        if len(bs) == 1:
-            bs, ss, lift = (ZERO,), (Fraction(d),), [lift[0] - d * bs[0]]
-        shift = lift[0] // r * r
+    def _anchor(self, r: int, d: int, den: int, bnums, pairs, lnums) -> None:
+        """Store normal data given over the common denominator ``den``.
+
+        A single boundary is a break-free map, whose slope is forced to equal
+        the degree and which is anchored at 0; the lift is shifted by a
+        multiple of r into [0, r) at its start; and the numerators are put
+        over the least common denominator.
+        """
+        if len(bnums) == 1:
+            bnums, pairs, lnums = [0], [(d, 1)], [lnums[0] - d * bnums[0]]
+        lap = r * den
+        shift = lnums[0] // lap * lap
+        if shift:
+            lnums = [v - shift for v in lnums]
+        common = gcd(den, *bnums, *lnums)
+        if common > 1:
+            den //= common
+            bnums = [b // common for b in bnums]
+            lnums = [v // common for v in lnums]
         self.circumference = r
         self.degree = d
-        self.boundaries = bs
-        self.slopes = ss
-        self._lift = tuple([v - shift for v in lift] if shift else lift)
-        self.value_at_first = self._lift[0]
+        self._den = den
+        self._bnums = tuple(bnums)
+        self._slope_pairs = tuple(pairs)
+        self._lnums = tuple(lnums)
+        self._boundaries = self._slopes = self._lift_values = None
 
     @classmethod
-    def _from_lift(cls, circumference: int, degree: int, boundaries, slopes,
-                   lift) -> "PLCircleMap":
-        """A map from data that is already normal, with no check.
+    def _from_lift(cls, circumference: int, degree: int, den: int, bnums, slope_pairs,
+                   lnums) -> "PLCircleMap":
+        """A map from integer data that is already normal, with no check.
 
-        ``boundaries`` are strictly increasing in [0, r), cyclically adjacent
-        ``slopes`` differ (or there is one boundary), and ``lift`` holds the
-        values of a lift continuous over [b0, b0 + r) at the boundaries.
+        Over the common denominator ``den``, ``bnums`` are strictly increasing
+        in [0, r*den), ``lnums`` hold the values of a lift continuous over
+        [b0, b0 + r) at the boundaries, and the reduced positive
+        ``slope_pairs`` differ cyclically from their neighbours (or there is
+        one boundary).
         """
         m = cls.__new__(cls)
-        m._anchor(circumference, degree, tuple(boundaries), tuple(slopes), lift)
+        m._anchor(circumference, degree, den, bnums, slope_pairs, lnums)
         return m
 
     # -- constructors --------------------------------------------------------
@@ -191,107 +231,137 @@ class PLCircleMap:
         ss = tuple(s for _, s in pairs)
         return cls(circumference, degree, bs, ss, value_at_first_boundary)
 
+    # -- the Fraction data, formed on first read --------------------------------
+
+    @property
+    def boundaries(self) -> tuple[Fraction, ...]:
+        if self._boundaries is None:
+            den = self._den
+            self._boundaries = tuple([Fraction(b, den) for b in self._bnums])
+        return self._boundaries
+
+    @property
+    def slopes(self) -> tuple[Fraction, ...]:
+        if self._slopes is None:
+            self._slopes = tuple([Fraction(sn, sd) for sn, sd in self._slope_pairs])
+        return self._slopes
+
+    @property
+    def _lift(self) -> tuple[Fraction, ...]:
+        """The lift's values at the boundaries over the window [b0, b0 + r)."""
+        if self._lift_values is None:
+            den = self._den
+            self._lift_values = tuple([Fraction(v, den) for v in self._lnums])
+        return self._lift_values
+
+    @property
+    def value_at_first(self) -> Fraction:
+        return self._lift[0]
+
     # -- basic queries --------------------------------------------------------
 
     @property
     def piece_count(self) -> int:
-        return len(self.boundaries)
+        return len(self._bnums)
 
-    def _piece_index(self, lifted: Fraction) -> int:
-        """Index of the piece owning a point of the window [b0, b0 + r)."""
-        i = bisect.bisect_right(self.boundaries, lifted) - 1
-        return i if i >= 0 else len(self.boundaries) - 1
+    def _window(self, x) -> tuple[int, int, int, int]:
+        """(k, i, t, xd) for a real x: x - k*r lies in the window [b0, b0 + r)
+        on piece i, and (x - k*r)*D is t/xd."""
+        x = as_fraction(x)
+        xn, xd = x.numerator, x.denominator
+        lap = self.circumference * self._den
+        t = xn * self._den
+        k = (t // xd - self._bnums[0]) // lap
+        t -= k * lap * xd
+        return k, bisect.bisect_right(self._bnums, t // xd) - 1, t, xd
 
     def lift_value(self, x) -> Fraction:
         """Value of the lift normalised by F(b0) = value_at_first, at any real x."""
-        x = as_fraction(x)
-        r = self.circumference
-        b0 = self.boundaries[0]
-        k = (x - b0) // r
-        window_x = x - k * r
-        i = self._piece_index(window_x)
-        base = self._lift[i] + self.slopes[i] * (window_x - self.boundaries[i])
-        return base + k * self.degree * r
+        k, i, t, xd = self._window(x)
+        sn, sd = self._slope_pairs[i]
+        den = self._den
+        rise = k * self.degree * self.circumference * den
+        return Fraction((self._lnums[i] + rise) * sd * xd + sn * (t - self._bnums[i] * xd),
+                        den * sd * xd)
 
     def evaluate(self, x) -> Fraction:
-        """Image of the circle point x, reduced to [0, r).
-
-        A point x below b0 is read on the last piece at x + r, where the lift
-        is d*r higher; reducing mod r drops the difference.
-        """
-        r, bs = self.circumference, self.boundaries
+        """Image of the circle point x, reduced to [0, r)."""
         x = as_fraction(x)
-        laps = x // r
-        if laps:
-            x -= laps * r
-        i = bisect.bisect_right(bs, x) - 1
-        y = self._lift[i] + self.slopes[i] * (x - bs[i] if i >= 0 else x + r - bs[i])
-        laps = y // r
-        return y - laps * r if laps else y
+        return Fraction(*self._image(x.numerator, x.denominator))
+
+    def _image(self, xn: int, xd: int) -> tuple[int, int]:
+        """The image of the point xn/xd (xd > 0) as a reduced pair, in [0, r).
+
+        Reduced into [0, r) and scaled by D, the point is t/xd, and it lies on
+        piece i exactly when B_i <= floor(t/xd).  A point below b0 is read on
+        the last piece at x + r, where the lift is d*r higher; reducing mod r
+        drops the difference.
+        """
+        den, bnums = self._den, self._bnums
+        lap = self.circumference * den * xd
+        t = xn * den % lap
+        i = bisect.bisect_right(bnums, t // xd) - 1
+        if i < 0:
+            t += lap
+        sn, sd = self._slope_pairs[i]
+        q = den * sd * xd
+        y = (self._lnums[i] * sd * xd + sn * (t - bnums[i] * xd)) % (self.circumference * q)
+        common = gcd(y, q)
+        return y // common, q // common
 
     def __call__(self, x) -> Fraction:
         return self.evaluate(x)
 
     def lift_piece(self, x) -> AffinePiece:
         """The affine branch of the lift that owns the real point x."""
-        x = as_fraction(x)
-        r = self.circumference
-        b0 = self.boundaries[0]
-        k = (x - b0) // r
-        window_x = x - k * r
-        i = self._piece_index(window_x)
+        k, i, _, _ = self._window(x)
         # F(t) = lift[i] + s*(t - b_i) on the window; shifting by k*r adds k*d*r.
         s = self.slopes[i]
-        intercept = self._lift[i] - s * self.boundaries[i] + k * r * (self.degree - s)
+        intercept = (self._lift[i] - s * self.boundaries[i]
+                     + k * self.circumference * (self.degree - s))
         return AffinePiece(s, intercept)
 
     def right_slope(self, x) -> Fraction:
-        x = reduce_to_circle(as_fraction(x), self.circumference)
-        lifted = x if x >= self.boundaries[0] else x + self.circumference
-        return self.slopes[self._piece_index(lifted)]
+        x = as_fraction(x)
+        den = self._den
+        at = x.numerator * den // x.denominator % (self.circumference * den)
+        return self.slopes[bisect.bisect_right(self._bnums, at) - 1]
 
     def left_slope(self, x) -> Fraction:
-        x = reduce_to_circle(as_fraction(x), self.circumference)
-        lifted = x if x > self.boundaries[0] else x + self.circumference
-        i = self._piece_index(lifted)
-        if self.boundaries[i] == lifted:
-            i -= 1  # the piece strictly to the left (cyclically)
-        return self.slopes[i]
+        # The piece strictly to the left of x (cyclically) is the last one
+        # whose boundary lies below x, that is below ceil(x*D).
+        x = as_fraction(x)
+        xd = x.denominator
+        at = -(-(x.numerator % (self.circumference * xd)) * self._den // xd)
+        return self.slopes[bisect.bisect_left(self._bnums, at) - 1]
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        """Boundaries where the slope genuinely changes (all of them after
-        normalisation, except the anchor of a break-free map)."""
-        return tuple([
-            b for i, b in enumerate(self.boundaries)
-            if self.slopes[i] != self.slopes[i - 1]
-        ])
+        """Boundaries where the slope genuinely changes: after normalisation
+        all of them, except the anchor of a break-free map."""
+        return self.boundaries if len(self._bnums) > 1 else ()
 
     def window_pieces(self) -> Iterator[tuple[Fraction, Fraction, AffinePiece]]:
         """Triples (start, end, branch) covering the window [b0, b0 + r)."""
-        r = self.circumference
-        for i, b in enumerate(self.boundaries):
-            end = self.boundaries[i + 1] if i + 1 < len(self.boundaries) else self.boundaries[0] + r
-            s = self.slopes[i]
-            yield b, end, AffinePiece(s, self._lift[i] - s * b)
+        bs, ss, lift = self.boundaries, self.slopes, self._lift
+        ends = bs[1:] + (bs[0] + self.circumference,)
+        for b, end, s, v in zip(bs, ends, ss, lift):
+            yield b, end, AffinePiece(s, v - s * b)
+
+    def _pieces_from_zero(self) -> list[tuple[int, int, tuple[int, int]]]:
+        """The lift's pieces over [0, r), from the one owning 0, then the
+        first boundary at or past r, as (start, lift value there, slope pair)
+        with the start and value as numerators over D."""
+        bnums, lnums, pairs = self._bnums, self._lnums, self._slope_pairs
+        lap = self.circumference * self._den
+        rise = self.degree * lap
+        pieces = list(zip(bnums, lnums, pairs))
+        if bnums[0]:
+            pieces.insert(0, (bnums[-1] - lap, lnums[-1] - rise, pairs[-1]))
+        pieces.append((bnums[0] + lap, lnums[0] + rise, pairs[0]))
+        return pieces
 
     # -- algebra ---------------------------------------------------------------
-
-    def _lifted_boundaries(self, y: Fraction) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-        """Triples (c_j + k*r, lift value there, slope on the right) over the
-        lifted boundaries in order, from the one owning the real point y on;
-        the lift value is G(c_j) + k*d*r."""
-        r, cs, lift, ss = self.circumference, self.boundaries, self._lift, self.slopes
-        k = (y - cs[0]) // r
-        j = bisect.bisect_right(cs, y - k * r) - 1
-        while True:
-            if k:
-                shift, rise = k * r, k * self.degree * r
-                for c, v, t in zip(cs[j:], lift[j:], ss[j:]):
-                    yield c + shift, v + rise, t
-            else:
-                yield from zip(cs[j:], lift[j:], ss[j:])
-            j, k = 0, k + 1
 
     def compose(self, inner: "PLCircleMap") -> "PLCircleMap":
         """The composite self(inner(x)) as a circle map.
@@ -299,6 +369,12 @@ class PLCircleMap:
         One merge sweep: inner's window pieces in order against one pointer
         over this map's lifted boundaries.  A boundary is kept only where
         the composite slope changes, with its lift value read off directly.
+        All of it runs on numerators over Q, the lcm of both denominators
+        times inner's slope numerators and this map's slope denominators:
+        the gap between one of inner's lift values and one of this map's
+        boundaries is then a multiple of both, so a new boundary and a new
+        lift value are integers over Q.  The result is put over its least
+        denominator once, at the end.
         """
         if not isinstance(inner, PLCircleMap):
             raise TypeError("can only compose circle maps with circle maps")
@@ -306,56 +382,79 @@ class PLCircleMap:
             raise ValueError("circumference mismatch")
         r = self.circumference
         degree = self.degree * inner.degree
-        ends = inner._lift[1:] + (inner._lift[0] + inner.degree * r,)
-        outer = self._lifted_boundaries(inner._lift[0])
-        at, value, t = next(outer)
-        after = next(outer)
+        Q = (lcm(inner._den, self._den) * lcm(*[sn for sn, _ in inner._slope_pairs])
+             * lcm(*[td for _, td in self._slope_pairs]))
+        lap, rise = r * Q, self.degree * r * Q
+        inner_scale, outer_scale = Q // inner._den, Q // self._den
+        starts = [b * inner_scale for b in inner._bnums]
+        lows = [v * inner_scale for v in inner._lnums]
+        highs = lows[1:] + [lows[0] + inner.degree * lap]
+        # This map's lifted boundaries c_j + k*r and lift values there
+        # G(c_j) + k*d*r, over the laps from the one holding inner's first
+        # lift value to the one past its last.
+        cs = [c * outer_scale for c in self._bnums]
+        vs = [v * outer_scale for v in self._lnums]
+        first = (lows[0] - cs[0]) // lap
+        laps = range(first, first + inner.degree + 2)
+        ats = [c + k * lap for k in laps for c in cs]
+        values = [v + k * rise for k in laps for v in vs]
+        pairs = self._slope_pairs * len(laps)
+        m = bisect.bisect_right(ats, lows[0]) - 1
+        at, after = ats[m], ats[m + 1]
         bs, ss, lift = [], [], []
-        for b, s, lo, hi in zip(inner.boundaries, inner.slopes, inner._lift, ends):
+        for b, (sn, sd), lo, hi in zip(starts, inner._slope_pairs, lows, highs):
             # An outer boundary at the end of the last piece is at this
             # piece's start, so the pointer steps past it here.
-            while after[0] <= lo:
-                (at, value, t), after = after, next(outer)
-            slope = s * t
+            while after <= lo:
+                m += 1
+                at, after = after, ats[m + 1]
+            tn, td = pairs[m]
+            common = gcd(sn * tn, sd * td)
+            slope = sn * tn // common, sd * td // common
             if not ss or slope != ss[-1]:
                 bs.append(b)
                 ss.append(slope)
-                lift.append(value + t * (lo - at))
-            while after[0] < hi:
-                (at, value, t), after = after, next(outer)
-                slope = s * t
+                lift.append(values[m] + (lo - at) // td * tn)
+            while after < hi:
+                m += 1
+                at, after = after, ats[m + 1]
+                tn, td = pairs[m]
+                common = gcd(sn * tn, sd * td)
+                slope = sn * tn // common, sd * td // common
                 if slope != ss[-1]:
-                    bs.append(b + (at - lo) / s)
+                    bs.append(b + (at - lo) // sn * sd)
                     ss.append(slope)
-                    lift.append(value)
+                    lift.append(values[m])
         if len(ss) > 1 and ss[-1] == ss[0]:
             del bs[0], ss[0], lift[0]
         # The window [b0, b0 + r) may pass r; rotate that part to the front.
-        w = bisect.bisect_left(bs, r)
+        w = bisect.bisect_left(bs, lap)
         return PLCircleMap._from_lift(
-            r, degree,
-            [b - r for b in bs[w:]] + bs[:w],
+            r, degree, Q,
+            [b - lap for b in bs[w:]] + bs[:w],
             ss[w:] + ss[:w],
-            [v - degree * r for v in lift[w:]] + lift[:w],
+            [v - degree * lap for v in lift[w:]] + lift[:w],
         )
 
     def invert(self) -> "PLCircleMap":
         """Inverse homeomorphism; defined for degree-one maps only.
 
         Its breaks sit at the images of the breaks, where its lift takes the
-        original boundaries; images past r wrap to the front.
+        original boundaries; images past r wrap to the front.  Boundaries and
+        lift values swap, so the denominator stays the same.
         """
         if self.degree != 1:
             raise NotInvertible(
                 f"degree {self.degree} circle maps are not injective"
             )
-        r = self.circumference
-        w = bisect.bisect_left(self._lift, r)
+        r, bnums, lnums, pairs = self.circumference, self._bnums, self._lnums, self._slope_pairs
+        lap = r * self._den
+        w = bisect.bisect_left(lnums, lap)
         return PLCircleMap._from_lift(
-            r, 1,
-            [v - r for v in self._lift[w:]] + list(self._lift[:w]),
-            [1 / s for s in self.slopes[w:] + self.slopes[:w]],
-            [b - r for b in self.boundaries[w:]] + list(self.boundaries[:w]),
+            r, 1, self._den,
+            [v - lap for v in lnums[w:]] + list(lnums[:w]),
+            [(sd, sn) for sn, sd in pairs[w:] + pairs[:w]],
+            [b - lap for b in bnums[w:]] + list(bnums[:w]),
         )
 
     def iterate(self, power: int) -> "PLCircleMap":
@@ -370,8 +469,8 @@ class PLCircleMap:
     # -- equality / repr --------------------------------------------------------
 
     def _key(self):
-        return (self.circumference, self.degree, self.boundaries, self.slopes,
-                self.value_at_first)
+        return (self.circumference, self.degree, self._den, self._bnums,
+                self._slope_pairs, self._lnums[0])
 
     def __eq__(self, other):
         if not isinstance(other, PLCircleMap):
@@ -736,8 +835,6 @@ def _preserves_zero_class(m: PLCircleMap, n: int) -> bool:
     its intercept, so preservation means every branch intercept has class
     divisible by gcd(n-1, r).
     """
-    from math import gcd
-
     g = gcd(n - 1, m.circumference)
     if g == 1:
         return True
@@ -821,16 +918,18 @@ def map_from_dict(data: dict):
             pieces = data["pieces"]
             if not pieces:
                 raise ParseError("malformed map description: a circle map needs pieces")
-            bs = tuple(as_fraction(p["start"]) for p in pieces)
-            ss = tuple(as_fraction(p["slope"]) for p in pieces)
-            cs = tuple(as_fraction(p["intercept"]) for p in pieces)
-            value0 = ss[0] * bs[0] + cs[0]
-            m = PLCircleMap(r, d, bs, ss, value0)
-            # The stored intercepts must reproduce the same lift.
-            for (start, _, branch), c in zip(m.window_pieces(), cs):
-                if branch.intercept != c:
+            bs = [as_fraction(p["start"]) for p in pieces]
+            ss = [as_fraction(p["slope"]) for p in pieces]
+            cs = [as_fraction(p["intercept"]) for p in pieces]
+            value = ss[0] * bs[0] + cs[0]
+            m = PLCircleMap(r, d, bs, ss, value)
+            # Every piece as given, before any merging, must continue the
+            # lift of the pieces before it.
+            for i in range(1, len(bs)):
+                value += ss[i - 1] * (bs[i] - bs[i - 1])
+                if ss[i] * bs[i] + cs[i] != value:
                     raise ParseError(
-                        f"piece at {format_rational(start)} is discontinuous with its neighbours"
+                        f"piece at {format_rational(bs[i])} is discontinuous with its neighbours"
                     )
             return m
         if space == "line":

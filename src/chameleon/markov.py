@@ -223,20 +223,22 @@ def _build(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildReport]:
                 )
     # The map's breaks are the cuts where the slope changes (a break-free
     # partition gives multiplication by n), and its lift sends cut i to the
-    # lifted cut n*i, at weight floor(n*i/p)*W + cum[n*i mod p].
+    # lifted cut n*i, at weight floor(n*i/p)*W + cum[n*i mod p].  Cut i is
+    # r*cum[i] over the denominator W.
     cuts = break_indices or (0,)
     W, cum = P.total_weight, P.prefix_sums
-    points, lifted = [], []
+    bnums, lnums, pairs = [], [], []
     for i in cuts:
         q, j = divmod(n * i, p)
-        points.append(P.cut(i))
-        lifted.append(Fraction(r * (q * W + cum[j]), W))
-    g = PLCircleMap._from_lift(r, n, points, [Fraction(blocks[i], w[i]) for i in cuts],
-                               lifted)
+        bnums.append(r * cum[i])
+        lnums.append(r * (q * W + cum[j]))
+        common = gcd(blocks[i], w[i])
+        pairs.append((blocks[i] // common, w[i] // common))
+    g = PLCircleMap._from_lift(r, n, W, bnums, pairs, lnums)
     # The break at a cut is the change of exponent from the run before it.
     ex = [exponents[i] for i in break_indices]
     return g, BuildReport(break_values=tuple([
-        (x, e - f) for x, e, f in zip(points, ex, ex[-1:] + ex[:-1])]))
+        (P.cut(i), e - f) for i, e, f in zip(break_indices, ex, ex[-1:] + ex[:-1])]))
 
 
 @dataclass(frozen=True)

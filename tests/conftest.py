@@ -36,10 +36,27 @@ def examples():
     return built
 
 
-def circle_map_data(m: PLCircleMap) -> tuple:
-    """Everything a circle map stores, its private lift included."""
-    return (m.circumference, m.degree, m.boundaries, m.slopes, m.value_at_first,
-            m._lift)
+def circle_map_data(m) -> tuple:
+    """Everything a circle map stores, as ``Fraction``s, its lift at the
+    boundaries included.
+
+    A ``PLCircleMap``'s data is read off its integers, which must be
+    canonical: D the least common denominator of the boundaries and the lift
+    values, and each slope a reduced pair; its ``Fraction`` views must agree.
+    Any other circle map (the ``Fraction`` oracle) is read off its fields.
+    """
+    if not isinstance(m, PLCircleMap):
+        return (m.circumference, m.degree, m.boundaries, m.slopes, m.value_at_first,
+                m._lift)
+    D = m._den
+    assert gcd(D, *m._bnums, *m._lnums) == 1
+    assert all(sn > 0 and sd > 0 and gcd(sn, sd) == 1 for sn, sd in m._slope_pairs)
+    data = (m.circumference, m.degree, tuple(Fraction(b, D) for b in m._bnums),
+            tuple(Fraction(*s) for s in m._slope_pairs), Fraction(m._lnums[0], D),
+            tuple(Fraction(v, D) for v in m._lnums))
+    assert data == (m.circumference, m.degree, m.boundaries, m.slopes,
+                    m.value_at_first, m._lift)
+    return data
 
 
 @pytest.fixture

@@ -11,28 +11,355 @@ are the per-vertex ``Fraction`` versions those replaced.  ``refine`` measures
 each interval's proportions on the level itself, where the chain uses the
 partition's slope ratios, so the two agree exactly while the vertex law
 holds.
+
+``PLCircleMap`` keeps its boundaries and lift values as integer numerators
+over one denominator and its slopes as integer pairs; ``FractionCircleMap``
+is the ``Fraction`` class it replaced, with every construction path and
+query, and ``fraction_recovery`` walks and pulls back on it.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import Iterator, Optional
 
 from chameleon.errors import (
     BudgetExceeded,
     EndpointNotNAdic,
     NotAVertex,
+    NotInvertible,
     NotMarkov,
     SlopeNotPowerOfN,
 )
-from chameleon.exact import is_nadic, power_exponent
-from chameleon.maps import PLCircleMap, orbit
+from chameleon.exact import (
+    as_fraction,
+    format_rational,
+    is_nadic,
+    power_exponent,
+    reduce_to_circle,
+)
+from chameleon.maps import AffinePiece, PLCircleMap, orbit
 from chameleon.markov import (
     AffineMarkovPartition,
     PartitionLevelTable,
     build_expanding_map,
 )
+
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class FractionCircleMap:
+    """``PLCircleMap`` as it was kept on ``Fraction``s, the oracle for the
+    integer one.
+
+    Stored data: integer ``circumference`` r, integer ``degree`` d, a strictly
+    increasing tuple ``boundaries`` in [0, r), a matching tuple of positive
+    ``slopes`` (slope i rules the arc from boundary i to the next boundary,
+    counterclockwise), and the value at the first boundary, reduced to [0, r).
+    The lift over the window [b0, b0 + r) is continuous and rises by d*r; its
+    value at each boundary is computed once here and kept privately.
+
+    Construction normalises: boundaries whose two sides share a slope are
+    merged, and a break-free map is anchored at 0.  The boundary point itself
+    belongs to the piece on its right.
+    """
+
+    __slots__ = ("circumference", "degree", "boundaries", "slopes", "value_at_first",
+                 "_lift")
+
+    def __init__(self, circumference, degree, boundaries, slopes, value_at_first):
+        r = int(circumference)
+        d = int(degree)
+        if r < 1 or r != circumference:
+            raise ValueError("circumference must be a positive integer")
+        if d < 1 or d != degree:
+            raise ValueError("degree must be a positive integer")
+        bs = tuple([as_fraction(b) for b in boundaries])
+        ss = tuple([as_fraction(s) for s in slopes])
+        if not bs or len(bs) != len(ss):
+            raise ValueError("need one slope per boundary, at least one of each")
+        if any(not (0 <= b < r) for b in bs):
+            raise ValueError("boundaries must be reduced to [0, r)")
+        if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
+            raise ValueError("boundaries must be strictly increasing")
+        if any(s <= 0 for s in ss):
+            raise ValueError("slopes must be positive")
+        # The lift at each boundary over the window [b0, b0 + r).
+        lift = [reduce_to_circle(as_fraction(value_at_first), r)]
+        for i in range(len(bs) - 1):
+            lift.append(lift[-1] + ss[i] * (bs[i + 1] - bs[i]))
+        total = lift[-1] + ss[-1] * (bs[0] + r - bs[-1]) - lift[0]
+        if total != d * r:
+            raise ValueError(
+                f"slopes integrate to {total}, expected degree*circumference {d * r}"
+            )
+
+        # Normalise: keep only boundaries where the slope actually changes;
+        # a break-free map keeps its first one.
+        keep = [i for i in range(len(bs)) if ss[i] != ss[i - 1]] or [0]
+        self._anchor(r, d, tuple([bs[i] for i in keep]), tuple([ss[i] for i in keep]),
+                     [lift[i] for i in keep])
+
+    def _anchor(self, r: int, d: int, bs: tuple, ss: tuple, lift) -> None:
+        """Store normal data: a single boundary is a break-free map, whose
+        slope is forced to equal the degree and which is anchored at 0, and
+        the lift is shifted by a multiple of r into [0, r) at its start."""
+        if len(bs) == 1:
+            bs, ss, lift = (ZERO,), (Fraction(d),), [lift[0] - d * bs[0]]
+        shift = lift[0] // r * r
+        self.circumference = r
+        self.degree = d
+        self.boundaries = bs
+        self.slopes = ss
+        self._lift = tuple([v - shift for v in lift] if shift else lift)
+        self.value_at_first = self._lift[0]
+
+    @classmethod
+    def _from_lift(cls, circumference: int, degree: int, boundaries, slopes,
+                   lift) -> "FractionCircleMap":
+        """A map from data that is already normal, with no check.
+
+        ``boundaries`` are strictly increasing in [0, r), cyclically adjacent
+        ``slopes`` differ (or there is one boundary), and ``lift`` holds the
+        values of a lift continuous over [b0, b0 + r) at the boundaries.
+        """
+        m = cls.__new__(cls)
+        m._anchor(circumference, degree, tuple(boundaries), tuple(slopes), lift)
+        return m
+
+    @classmethod
+    def of(cls, m) -> "FractionCircleMap":
+        """The oracle copy of a ``PLCircleMap``, from its ``Fraction`` data."""
+        return cls._from_lift(m.circumference, m.degree, m.boundaries, m.slopes, m._lift)
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def identity(cls, circumference: int) -> "FractionCircleMap":
+        return cls(circumference, 1, (ZERO,), (ONE,), ZERO)
+
+    @classmethod
+    def rotation(cls, circumference: int, amount) -> "FractionCircleMap":
+        return cls(circumference, 1, (ZERO,), (ONE,),
+                   reduce_to_circle(as_fraction(amount), circumference))
+
+    @classmethod
+    def from_pairs(cls, circumference, degree, boundary_slope_pairs, value_at_first_boundary):
+        """Build from unsorted cyclic (boundary, slope) data.
+
+        Pairs are sorted by boundary; ``value_at_first_boundary`` must be the
+        value at the smallest boundary after sorting.
+        """
+        pairs = sorted(
+            (reduce_to_circle(as_fraction(b), circumference), as_fraction(s))
+            for b, s in boundary_slope_pairs
+        )
+        bs = tuple(b for b, _ in pairs)
+        ss = tuple(s for _, s in pairs)
+        return cls(circumference, degree, bs, ss, value_at_first_boundary)
+
+    # -- basic queries --------------------------------------------------------
+
+    @property
+    def piece_count(self) -> int:
+        return len(self.boundaries)
+
+    def _piece_index(self, lifted: Fraction) -> int:
+        """Index of the piece owning a point of the window [b0, b0 + r)."""
+        i = bisect.bisect_right(self.boundaries, lifted) - 1
+        return i if i >= 0 else len(self.boundaries) - 1
+
+    def lift_value(self, x) -> Fraction:
+        """Value of the lift normalised by F(b0) = value_at_first, at any real x."""
+        x = as_fraction(x)
+        r = self.circumference
+        b0 = self.boundaries[0]
+        k = (x - b0) // r
+        window_x = x - k * r
+        i = self._piece_index(window_x)
+        base = self._lift[i] + self.slopes[i] * (window_x - self.boundaries[i])
+        return base + k * self.degree * r
+
+    def evaluate(self, x) -> Fraction:
+        """Image of the circle point x, reduced to [0, r).
+
+        A point x below b0 is read on the last piece at x + r, where the lift
+        is d*r higher; reducing mod r drops the difference.
+        """
+        r, bs = self.circumference, self.boundaries
+        x = as_fraction(x)
+        laps = x // r
+        if laps:
+            x -= laps * r
+        i = bisect.bisect_right(bs, x) - 1
+        y = self._lift[i] + self.slopes[i] * (x - bs[i] if i >= 0 else x + r - bs[i])
+        laps = y // r
+        return y - laps * r if laps else y
+
+    def __call__(self, x) -> Fraction:
+        return self.evaluate(x)
+
+    def lift_piece(self, x) -> AffinePiece:
+        """The affine branch of the lift that owns the real point x."""
+        x = as_fraction(x)
+        r = self.circumference
+        b0 = self.boundaries[0]
+        k = (x - b0) // r
+        window_x = x - k * r
+        i = self._piece_index(window_x)
+        # F(t) = lift[i] + s*(t - b_i) on the window; shifting by k*r adds k*d*r.
+        s = self.slopes[i]
+        intercept = self._lift[i] - s * self.boundaries[i] + k * r * (self.degree - s)
+        return AffinePiece(s, intercept)
+
+    def right_slope(self, x) -> Fraction:
+        x = reduce_to_circle(as_fraction(x), self.circumference)
+        lifted = x if x >= self.boundaries[0] else x + self.circumference
+        return self.slopes[self._piece_index(lifted)]
+
+    def left_slope(self, x) -> Fraction:
+        x = reduce_to_circle(as_fraction(x), self.circumference)
+        lifted = x if x > self.boundaries[0] else x + self.circumference
+        i = self._piece_index(lifted)
+        if self.boundaries[i] == lifted:
+            i -= 1  # the piece strictly to the left (cyclically)
+        return self.slopes[i]
+
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        """Boundaries where the slope genuinely changes (all of them after
+        normalisation, except the anchor of a break-free map)."""
+        return tuple([
+            b for i, b in enumerate(self.boundaries)
+            if self.slopes[i] != self.slopes[i - 1]
+        ])
+
+    def window_pieces(self) -> Iterator[tuple[Fraction, Fraction, AffinePiece]]:
+        """Triples (start, end, branch) covering the window [b0, b0 + r)."""
+        r = self.circumference
+        for i, b in enumerate(self.boundaries):
+            end = self.boundaries[i + 1] if i + 1 < len(self.boundaries) else self.boundaries[0] + r
+            s = self.slopes[i]
+            yield b, end, AffinePiece(s, self._lift[i] - s * b)
+
+    # -- algebra ---------------------------------------------------------------
+
+    def _lifted_boundaries(self, y: Fraction) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+        """Triples (c_j + k*r, lift value there, slope on the right) over the
+        lifted boundaries in order, from the one owning the real point y on;
+        the lift value is G(c_j) + k*d*r."""
+        r, cs, lift, ss = self.circumference, self.boundaries, self._lift, self.slopes
+        k = (y - cs[0]) // r
+        j = bisect.bisect_right(cs, y - k * r) - 1
+        while True:
+            if k:
+                shift, rise = k * r, k * self.degree * r
+                for c, v, t in zip(cs[j:], lift[j:], ss[j:]):
+                    yield c + shift, v + rise, t
+            else:
+                yield from zip(cs[j:], lift[j:], ss[j:])
+            j, k = 0, k + 1
+
+    def compose(self, inner: "FractionCircleMap") -> "FractionCircleMap":
+        """The composite self(inner(x)) as a circle map.
+
+        One merge sweep: inner's window pieces in order against one pointer
+        over this map's lifted boundaries.  A boundary is kept only where
+        the composite slope changes, with its lift value read off directly.
+        """
+        if not isinstance(inner, FractionCircleMap):
+            raise TypeError("can only compose circle maps with circle maps")
+        if inner.circumference != self.circumference:
+            raise ValueError("circumference mismatch")
+        r = self.circumference
+        degree = self.degree * inner.degree
+        ends = inner._lift[1:] + (inner._lift[0] + inner.degree * r,)
+        outer = self._lifted_boundaries(inner._lift[0])
+        at, value, t = next(outer)
+        after = next(outer)
+        bs, ss, lift = [], [], []
+        for b, s, lo, hi in zip(inner.boundaries, inner.slopes, inner._lift, ends):
+            # An outer boundary at the end of the last piece is at this
+            # piece's start, so the pointer steps past it here.
+            while after[0] <= lo:
+                (at, value, t), after = after, next(outer)
+            slope = s * t
+            if not ss or slope != ss[-1]:
+                bs.append(b)
+                ss.append(slope)
+                lift.append(value + t * (lo - at))
+            while after[0] < hi:
+                (at, value, t), after = after, next(outer)
+                slope = s * t
+                if slope != ss[-1]:
+                    bs.append(b + (at - lo) / s)
+                    ss.append(slope)
+                    lift.append(value)
+        if len(ss) > 1 and ss[-1] == ss[0]:
+            del bs[0], ss[0], lift[0]
+        # The window [b0, b0 + r) may pass r; rotate that part to the front.
+        w = bisect.bisect_left(bs, r)
+        return FractionCircleMap._from_lift(
+            r, degree,
+            [b - r for b in bs[w:]] + bs[:w],
+            ss[w:] + ss[:w],
+            [v - degree * r for v in lift[w:]] + lift[:w],
+        )
+
+    def invert(self) -> "FractionCircleMap":
+        """Inverse homeomorphism; defined for degree-one maps only.
+
+        Its breaks sit at the images of the breaks, where its lift takes the
+        original boundaries; images past r wrap to the front.
+        """
+        if self.degree != 1:
+            raise NotInvertible(
+                f"degree {self.degree} circle maps are not injective"
+            )
+        r = self.circumference
+        w = bisect.bisect_left(self._lift, r)
+        return FractionCircleMap._from_lift(
+            r, 1,
+            [v - r for v in self._lift[w:]] + list(self._lift[:w]),
+            [1 / s for s in self.slopes[w:] + self.slopes[:w]],
+            [b - r for b in self.boundaries[w:]] + list(self.boundaries[:w]),
+        )
+
+    def iterate(self, power: int) -> "FractionCircleMap":
+        """Compose the map with itself the given number of times (power >= 1)."""
+        if power < 1:
+            raise ValueError("power must be at least 1")
+        result = self
+        for _ in range(power - 1):
+            result = result.compose(self)
+        return result
+
+    # -- equality / repr --------------------------------------------------------
+
+    def _key(self):
+        return (self.circumference, self.degree, self.boundaries, self.slopes,
+                self.value_at_first)
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionCircleMap):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        parts = ", ".join(
+            f"{format_rational(b)}:{format_rational(s)}"
+            for b, s in zip(self.boundaries, self.slopes)
+        )
+        return (f"FractionCircleMap(r={self.circumference}, deg={self.degree}, "
+                f"[{parts}], f({format_rational(self.boundaries[0])})="
+                f"{format_rational(self.value_at_first)})")
 
 
 def eager_endpoints(P: AffineMarkovPartition) -> tuple[Fraction, ...]:
@@ -141,12 +468,14 @@ def refine(table: PartitionLevelTable, n: int) -> PartitionLevelTable:
 
 
 def fraction_recovery(g: PLCircleMap, max_refinements: int = 20) -> AffineMarkovPartition:
-    """``partition_from_expanding_map`` on ``Fraction``s: the landing walk
-    keyed by the points themselves, and the inverse branches x = a*y + b
-    formed as ``Fraction``s before they are put over one denominator."""
+    """``partition_from_expanding_map`` on ``Fraction``s, run on the oracle
+    copy of g: the landing walk keyed by the points themselves, and the
+    inverse branches x = a*y + b formed as ``Fraction``s before they are put
+    over one denominator."""
     r, n = g.circumference, g.degree
     if n < 2:
         raise ValueError("need an expanding map of degree at least 2")
+    target, g = g, FractionCircleMap.of(g)
     if g.evaluate(Fraction(0)) != 0:
         raise ValueError("the map must fix 0")
     max_steps = 4096
@@ -211,6 +540,6 @@ def fraction_recovery(g: PLCircleMap, max_refinements: int = 20) -> AffineMarkov
     unit = gcd(*weights)
     P = AffineMarkovPartition(n, [w // unit for w in weights])
     rebuilt, _ = build_expanding_map(P)
-    if rebuilt != g:
+    if rebuilt != target:
         raise NotMarkov("recovered cut points do not rebuild the map", index=-1)
     return P

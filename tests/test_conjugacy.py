@@ -940,9 +940,10 @@ class TestPartitionRecovery:
     @pytest.mark.parametrize("source", ("examples", "roundtrip"))
     def test_recovery_walks_orbits_and_builds_once(self, examples, monkeypatch,
                                                    source):
-        """Recovery evaluates g once at 0 and at most once at each point of
-        the breakpoint orbits, every such point when all of them land on 0,
-        and builds one map, however many vertices the partition has."""
+        """Recovery steps g on integer pairs once at 0 and at most once at
+        each point of the breakpoint orbits, every such point when all of
+        them land on 0, and builds one map, however many vertices the
+        partition has."""
         if source == "examples":
             maps = [g for _, g, _ in examples.values()]
         else:
@@ -950,18 +951,18 @@ class TestPartitionRecovery:
         orbits = [{x for b in g.breakpoints for x in orbit(g, b).points} - {0}
                   for g in maps]
         points, builds = [], []
-        evaluate = PLCircleMap.evaluate
+        step = PLCircleMap._image
         build = conjugacy.build_expanding_map
 
-        def counting_evaluate(self, x):
-            points.append(x)
-            return evaluate(self, x)
+        def counting_step(self, xn, xd):
+            points.append(F(xn, xd))
+            return step(self, xn, xd)
 
         def counting_build(partition):
             builds.append(partition)
             return build(partition)
 
-        monkeypatch.setattr(PLCircleMap, "evaluate", counting_evaluate)
+        monkeypatch.setattr(PLCircleMap, "_image", counting_step)
         monkeypatch.setattr(conjugacy, "build_expanding_map", counting_build)
         sizes = set()
         for g, walked in zip(maps, orbits):

@@ -328,6 +328,13 @@ class TestConstructors:
         assert g.evaluate(F(1, 2)) == F(1)
         assert g.evaluate(F(2)) == F(3)
 
+    @pytest.mark.parametrize("circumference, degree", [
+        (True, True), (1, 2.0), (1.0, 2), (F(1), 2), (1, F(2)), ("1", 2), (1, True),
+    ])
+    def test_circle_sizes_must_be_plain_integers(self, circumference, degree):
+        with pytest.raises(ValueError):
+            PLCircleMap(circumference, degree, (F(0),), (F(degree),), F(0))
+
     def test_positive_slopes_required(self):
         with pytest.raises(ValueError):
             PLLineMap.affine(F(-1), F(0))
@@ -365,6 +372,28 @@ class TestCanonicalForm:
         data = map_to_dict(multiplication_map(2))
         data[field] = value
         with pytest.raises(ParseError):
+            map_from_dict(data)
+
+    def test_circle_dict_with_a_redundant_boundary(self):
+        """The pieces are checked as given, so a split piece is accepted and
+        merged."""
+        data = {"space": "circle", "circumference": 1, "degree": 1, "pieces": [
+            {"start": "0", "slope": "1/2", "intercept": "0"},
+            {"start": "1/4", "slope": "1/2", "intercept": "0"},
+            {"start": "1/2", "slope": "3/2", "intercept": "-1/2"},
+        ]}
+        m = map_from_dict(data)
+        assert m == PLCircleMap(1, 1, (F(0), F(1, 2)), (F(1, 2), F(3, 2)), F(0))
+
+    def test_circle_dict_discontinuous_after_a_merge(self):
+        """A jump between pieces of one slope is refused, though merging the
+        pieces would hide it."""
+        data = {"space": "circle", "circumference": 1, "degree": 1, "pieces": [
+            {"start": "0", "slope": "1", "intercept": "0"},
+            {"start": "1/4", "slope": "1", "intercept": "0"},
+            {"start": "1/2", "slope": "1", "intercept": "5"},
+        ]}
+        with pytest.raises(ParseError, match="piece at 1/2 is discontinuous"):
             map_from_dict(data)
 
     def test_line_dict_round_trip(self):
