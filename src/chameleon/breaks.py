@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exact import as_fraction, is_nadic, power_exponent
 from .maps import (
+    MAX_ORBIT_STEPS,
     PLCircleMap,
     break_value,
     classify,
@@ -43,7 +44,7 @@ from .markov import (
 
 
 def _break_sums(g: PLCircleMap, points, n: int,
-                max_steps: int = 4096) -> list[int]:
+                max_steps: int = MAX_ORBIT_STEPS) -> list[int]:
     """Iterated break sums of circle points, in order, sharing one walk of g.
 
     Each walk stops at a point summed earlier or where it closes its cycle,
@@ -133,7 +134,7 @@ def _cut_walker(P: AffineMarkovPartition):
     return g, K, walk
 
 
-def iterated_break_sum(g: PLCircleMap, x, max_steps: int = 4096,
+def iterated_break_sum(g: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS,
                        base: Optional[int] = None) -> int:
     """Total break value collected along the forward orbit of x.
 

@@ -6,7 +6,8 @@ sends the uniform grid refinements of the source circle to the partition's
 vertex tables, level by level.  This module evaluates h exactly on grid
 points, inverts it on vertices, brackets it everywhere else with nested
 enclosures, certifies the vertex law to any depth, and extracts h in closed
-form when the partition pairs up.
+form when the partition pairs up.  Evaluation descends the partition's
+integer inverse-branch table; recovery pulls 0 back through a map's.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import bisect
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .errors import (
@@ -30,12 +31,14 @@ from .errors import (
     ReconstructionMismatch,
 )
 from .exact import as_fraction, is_nadic, is_smooth, to_nadic
-from .maps import PLCircleMap, multiplication_map, orbit, reduce_to_circle
+from .maps import MAX_ORBIT_STEPS, PLCircleMap, multiplication_map, orbit, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
     IntegerLevel,
     LevelChain,
     _descend,
+    _inverse_branches,
+    _pullback,
     build_expanding_map,
 )
 
@@ -114,9 +117,13 @@ class Conjugator:
 
     def __init__(self, partition: AffineMarkovPartition,
                  max_depth: Optional[int] = None):
+        if max_depth is None:
+            max_depth = default_memo_depth()
+        elif isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
+            raise ValueError(f"max_depth must be a non-negative integer, got {max_depth!r}")
         self.partition = partition
         self.map, _ = build_expanding_map(partition)
-        self.max_depth = default_memo_depth() if max_depth is None else max_depth
+        self.max_depth = max_depth
         self.chain = LevelChain(partition)
 
     def source_vertex(self, index: int, depth: int) -> Fraction:
@@ -284,7 +291,7 @@ def extract_pl_h(conj: Conjugator) -> PLCircleMap:
     slopes = tuple(
         (P.interval_length(i)) / Fraction(r, p) for i in range(p)
     )
-    h = PLCircleMap(r, 1, heights, slopes, P.endpoints[0])
+    h = PLCircleMap(r, 1, heights, slopes, 0)
     model = multiplication_map(P.base, r)
     if h.compose(model) != conj.map.compose(h):
         raise ReconstructionMismatch(
@@ -397,17 +404,11 @@ def partition_from_expanding_map(g: PLCircleMap,
     reduced to coprime integers, are the weights.  The recovered partition
     is verified to rebuild g exactly.
 
-    The pullback runs level by level in index order.  With G the lift of g
-    fixing 0 and L the m sorted vertices of level k - 1, vertex t of level k
-    is G^-1(L[t mod m] + r*floor(t/m)): the targets increase with t, so one
-    pointer over G's lifted pieces finds each branch and the level comes
-    out sorted.  The branches are read off g's integers: with D its
-    denominator and A the lcm of its slope numerators, level k is kept as
-    integer numerators over D*A^k, so a vertex costs one integer
-    multiply-add and a comparison against the integer start of its branch.
-    The breakpoint orbits that set K are walked on reduced integer pairs,
-    and the rebuild is the one ``build_expanding_map`` keeps on the
-    partition, so a later build of the returned partition costs nothing.
+    The pullback runs through the inverse branches of the lift of g fixing 0,
+    in the integer branch table that ``LevelChain`` and ``vertex_value`` use
+    (``markov._inverse_branches``, ``markov._pullback``).  The breakpoint
+    orbits that set K are walked on reduced integer pairs, and the rebuild is
+    the one ``build_expanding_map`` keeps on the partition.
     """
     r, n = g.circumference, g.degree
     if n < 2:
@@ -418,7 +419,6 @@ def partition_from_expanding_map(g: PLCircleMap,
     # lands on 0; otherwise no amount of refinement can cover it.  The walks
     # share one memo and stop at points already known to land on 0.  After
     # normalisation every boundary of a map with breaks is a breakpoint.
-    max_steps = 4096  # the default budget of ``orbit``
     D = g._den
     breakpoints = []
     for b in g._bnums if len(g._bnums) > 1 else ():
@@ -427,13 +427,14 @@ def partition_from_expanding_map(g: PLCircleMap,
     landing = {(0, 1): 1}  # point -> length of its orbit, which ends at 0
     for b in breakpoints:
         walk, seen, current = [], set(), b
-        while current not in landing and current not in seen and len(walk) <= max_steps:
+        while (current not in landing and current not in seen
+               and len(walk) <= MAX_ORBIT_STEPS):
             seen.add(current)
             walk.append(current)
             current = g._image(*current)
         length = len(walk) + landing.get(current, 0)
-        if length > max_steps:
-            orbit(g, Fraction(*b), max_steps=max_steps)  # raises BudgetExceeded
+        if length > MAX_ORBIT_STEPS:
+            orbit(g, Fraction(*b))  # raises BudgetExceeded
         if current not in landing:
             raise NotAVertex(
                 f"breakpoint {Fraction(*b)} never reaches the fixed point, so "
@@ -452,37 +453,11 @@ def partition_from_expanding_map(g: PLCircleMap,
         )
     if n > 2:
         rounds = max(rounds, 1)
-    # G's pieces over [0, r), from the one owning 0, and the first boundary
-    # at or past r, whose image (at least n*r) stops the pointer; starts and
-    # values are numerators over D.  On piece j, with start c, slope sn/sd
-    # and G(c) = lo, the inverse branch is x = c + (y - lo)*sd/sn.  With
-    # y = Y/(D*A^(k-1)) and x = X/(D*A^k) that is X = f*Y + A^(k-1)*(c*A -
-    # f*lo), where f = sd*A/sn is an integer.
-    pieces = g._pieces_from_zero()
-    at, value, (sn, sd) = pieces[0]
-    shift = (value * sd - at * sn) // sd  # G(0), a multiple of r
-    lows = [v - shift for _, v, _ in pieces]
-    branches = pieces[:-1]
-    A = lcm(*[sn for _, _, (sn, _) in branches])
-    factors = [sd * (A // sn) for _, _, (sn, sd) in branches]
-    offsets = [c * A - f * lo for (c, _, _), f, lo in zip(branches, factors, lows)]
+    branches = _inverse_branches(g._pieces_from_zero())
     level, scale = [0], 1  # numerators over D*A^k; scale is A^k
     for _ in range(rounds):
-        thresholds = [lo * scale for lo in lows]
-        lap = r * D * scale  # r over the denominator of level k - 1
-        terms = [b * scale for b in offsets]
-        scale *= A
-        fresh, j = [], 0
-        factor, term, following = factors[0], terms[0], thresholds[1]
-        for w in range(n):
-            base = w * lap
-            for v in level:
-                y = v + base
-                while y >= following:
-                    j += 1
-                    factor, term, following = factors[j], terms[j], thresholds[j + 1]
-                fresh.append(factor * y + term)
-        level = fresh
+        level = _pullback(level, scale, D, r, n, branches)
+        scale *= branches[0]
     weights = [b - a for a, b in zip(level, level[1:])]
     weights.append(r * D * scale - level[-1])
     unit = gcd(*weights)

@@ -66,6 +66,7 @@ from .exact import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_ORBIT_STEPS = 4096  # default step budget of an orbit walk
 
 
 @dataclass(frozen=True)
@@ -708,7 +709,7 @@ class OrbitResult:
         return self.prefix + self.cycle
 
 
-def orbit(m: PLCircleMap, x, max_steps: int = 4096) -> OrbitResult:
+def orbit(m: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS) -> OrbitResult:
     """Forward orbit of a circle point until it enters a cycle.
 
     Raises BudgetExceeded (with the prefix so far attached) if no repeat is
@@ -933,12 +934,16 @@ def map_from_dict(data: dict):
                     )
             return m
         if space == "line":
-            bs = tuple(as_fraction(b) for b in data["breakpoints"])
-            ps = tuple(
-                AffinePiece(as_fraction(p["slope"]), as_fraction(p["intercept"]))
-                for p in data["pieces"]
-            )
-            return PLLineMap(bs, ps, bool(data.get("reversed", False)))
+            breakpoints, pieces = data["breakpoints"], data["pieces"]
+            reversed_ = data.get("reversed", False)
+            if not (isinstance(breakpoints, list) and isinstance(pieces, list)
+                    and isinstance(reversed_, bool)):
+                raise ParseError("malformed map description: breakpoints and pieces "
+                                 "must be lists, reversed true or false")
+            bs = tuple(as_fraction(b) for b in breakpoints)
+            ps = tuple(AffinePiece(as_fraction(p["slope"]), as_fraction(p["intercept"]))
+                       for p in pieces)
+            return PLLineMap(bs, ps, reversed_)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

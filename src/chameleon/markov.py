@@ -3,9 +3,11 @@
 A partition is a cyclic sequence of positive integer weights on the
 circumference-(n-1) circle.  When every induced branch slope is a power of n
 and every cut point is a base-n fraction, the partition builds an expanding
-map conjugate to multiplication by n, and the cut points refine level by
-level: ``LevelChain`` inserts the n-1 extra preimages inside each interval,
-and the map permutes each level's vertices by index multiplication.
+map conjugate to multiplication by n.  Level k+1 of its vertex tower is
+the pullback of level k through the affine inverse branches of a lift fixing
+0, kept in one integer table (``_inverse_branches``, swept by ``_pullback``):
+``LevelChain`` refines through the partition's own branches, ``vertex_value``
+descends them one per level, and recovery pulls 0 back through a map's.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ class AffineMarkovPartition:
 
     The partition is kept as integers: the weights, their prefix sums (cut i
     is ``r * prefix_sums[i] / W``, W the total weight) and the blocks.  The
-    ``Fraction`` tuples ``endpoints`` and ``slopes`` are formed on first
-    read and kept, and so is what ``build_expanding_map`` returns for it.
+    ``Fraction`` tuples ``endpoints`` and ``slopes`` are formed on each read;
+    its map and its lift's inverse branches are formed on first use and kept.
     """
 
     __slots__ = ("base", "lengths", "interval_count", "total_weight", "unit",
                  "circumference", "prefix_sums", "blocks", "power_exponent",
-                 "_break_indices", "_endpoints", "_slopes", "_built")
+                 "_break_indices", "_branches", "_built")
 
     def __init__(self, base: int, lengths) -> None:
         if isinstance(base, bool) or not isinstance(base, int) or base < 2:
@@ -64,8 +66,7 @@ class AffineMarkovPartition:
         object.__setattr__(self, "unit", Fraction(base - 1, total))
         object.__setattr__(self, "circumference", base - 1)
         object.__setattr__(self, "prefix_sums", cum)
-        object.__setattr__(self, "_endpoints", None)
-        object.__setattr__(self, "_slopes", None)
+        object.__setattr__(self, "_branches", None)
         object.__setattr__(self, "_built", None)
         # Block i is the total weight of the base-many intervals that the
         # branch over interval i stretches across: the weight between the
@@ -90,20 +91,13 @@ class AffineMarkovPartition:
 
     @property
     def endpoints(self) -> tuple[Fraction, ...]:
-        """The cut points, formed on first read."""
-        if self._endpoints is None:
-            r, W = self.circumference, self.total_weight
-            object.__setattr__(self, "_endpoints", tuple([
-                Fraction(r * c, W) for c in self.prefix_sums[:-1]]))
-        return self._endpoints
+        """The cut points, formed on each read."""
+        return tuple([self.cut(i) for i in range(self.interval_count)])
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
-        """The branch slopes block_i / w_i, formed on first read."""
-        if self._slopes is None:
-            object.__setattr__(self, "_slopes", tuple([
-                Fraction(b, v) for b, v in zip(self.blocks, self.lengths)]))
-        return self._slopes
+        """The branch slopes block_i / w_i, formed on each read."""
+        return tuple([Fraction(b, v) for b, v in zip(self.blocks, self.lengths)])
 
     def cut(self, i: int) -> Fraction:
         """Cut point i, read off the prefix sums alone."""
@@ -182,9 +176,9 @@ def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildRep
 
     Refuses when a branch slope is not a power of the base or a cut point is
     not a base-n fraction — in either case no base-n map realizes the
-    partition.  The pair is built once per partition and kept on it, like
-    ``endpoints``, so every later call returns the same objects; a refusal
-    keeps nothing and is raised again on the next call.
+    partition.  The pair is built once per partition and kept on it, so
+    every later call returns the same objects; a refusal keeps nothing and
+    is raised again on the next call.
     """
     if P._built is None:
         object.__setattr__(P, "_built", _build(P))
@@ -222,23 +216,75 @@ def _build(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildReport]:
                     index=i, value=x,
                 )
     # The map's breaks are the cuts where the slope changes (a break-free
-    # partition gives multiplication by n), and its lift sends cut i to the
-    # lifted cut n*i, at weight floor(n*i/p)*W + cum[n*i mod p].  Cut i is
-    # r*cum[i] over the denominator W.
-    cuts = break_indices or (0,)
-    W, cum = P.total_weight, P.prefix_sums
-    bnums, lnums, pairs = [], [], []
-    for i in cuts:
-        q, j = divmod(n * i, p)
-        bnums.append(r * cum[i])
-        lnums.append(r * (q * W + cum[j]))
-        common = gcd(blocks[i], w[i])
-        pairs.append((blocks[i] // common, w[i] // common))
-    g = PLCircleMap._from_lift(r, n, W, bnums, pairs, lnums)
+    # partition gives multiplication by n).
+    bnums, lnums, pairs = zip(*_lift_triples(P, break_indices or (0,)))
+    g = PLCircleMap._from_lift(r, n, P.total_weight, bnums, pairs, lnums)
     # The break at a cut is the change of exponent from the run before it.
     ex = [exponents[i] for i in break_indices]
     return g, BuildReport(break_values=tuple([
         (P.cut(i), e - f) for i, e, f in zip(break_indices, ex, ex[-1:] + ex[:-1])]))
+
+
+def _lift_triples(P: AffineMarkovPartition, cuts) -> list[tuple[int, int, tuple[int, int]]]:
+    """(start, lift value, reduced slope pair) of the partition's lift at
+    the given cuts, over W: cut i is r*cum[i], sent to the lifted cut n*i at
+    weight floor(n*i/p)*W + cum[n*i mod p], with slope block_i / w_i."""
+    n, p, r, W = P.base, P.interval_count, P.circumference, P.total_weight
+    cum, blocks, w = P.prefix_sums, P.blocks, P.lengths
+    triples = []
+    for i in cuts:
+        q, j = divmod(n * i, p)
+        b, v = blocks[i % p], w[i % p]
+        common = gcd(b, v)
+        triples.append((r * cum[i], r * (q * W + cum[j]), (b // common, v // common)))
+    return triples
+
+
+def _inverse_branches(pieces) -> tuple[int, list[int], list[int], list[int]]:
+    """(A, factors, offsets, lows): the inverse branches of a lift fixing 0,
+    from its (start, lift value, reduced slope pair) over one denominator D,
+    from the piece owning 0 to the first boundary at or past r.  A is the lcm
+    of the slope numerators and lows the lift values less the lift at 0.  The
+    branch x = c + (y - lo)*sd/sn, with y = Y/(D*A^(k-1)) and x = X/(D*A^k),
+    is X = f*Y + A^(k-1)*offset: f = sd*A/sn, and the offset is c*A - f*lo."""
+    at, value, (sn, sd) = pieces[0]
+    shift = (value * sd - at * sn) // sd  # the lift at 0, a multiple of r*D
+    lows = [v - shift for _, v, _ in pieces]
+    branches = pieces[:-1]
+    A = lcm(*[sn for _, _, (sn, _) in branches])
+    factors = [sd * (A // sn) for _, _, (sn, sd) in branches]
+    offsets = [c * A - f * lo for (c, _, _), f, lo in zip(branches, factors, lows)]
+    return A, factors, offsets, lows
+
+
+def _pullback(level, scale: int, D: int, r: int, n: int, branches) -> list[int]:
+    """Level k from the m sorted vertices L of level k - 1 in [0, r), given
+    as numerators over D*scale with scale = A^(k-1).  Vertex t is the branch
+    image of L[t mod m] + r*floor(t/m); those targets increase with t, so one
+    pointer finds each branch, and the level comes out sorted, over D*scale*A."""
+    _, factors, offsets, lows = branches
+    thresholds = [lo * scale for lo in lows]
+    terms = [b * scale for b in offsets]
+    lap = r * D * scale
+    fresh, j = [], 0
+    append = fresh.append
+    factor, term, following = factors[0], terms[0], thresholds[1]
+    for base in range(0, n * lap, lap):
+        for v in level:
+            y = v + base
+            while y >= following:
+                j += 1
+                factor, term, following = factors[j], terms[j], thresholds[j + 1]
+            append(factor * y + term)
+    return fresh
+
+
+def _partition_branches(P: AffineMarkovPartition) -> tuple:
+    """The inverse branches of the partition's lift, one per interval, kept."""
+    if P._branches is None:
+        object.__setattr__(P, "_branches", _inverse_branches(
+            _lift_triples(P, range(P.interval_count + 1))))
+    return P._branches
 
 
 @dataclass(frozen=True)
@@ -298,24 +344,16 @@ class LevelChain:
     """Lazily refined tower of vertex tables for one partition.
 
     Only whole-level enumerations need it; single vertices come from the
-    inverse-branch descent of ``vertex_value``.  Each level is refined from
-    the last by the partition alone: the branch over cut interval i has
-    slope block_i / w_i, so splitting a level-k interval in the proportions
-    of the n intervals its branch covers puts the new vertices exactly at
-    the preimages of the vertices it covers, and the vertex law holds by
-    construction.  With A = lcm(block_i / gcd(block_i, w_i)) and W the total
-    weight, level k is kept as integer numerators over W*A^k, and a new
-    vertex on cut interval i is v*A + acc*c_i, where c_i = A*w_i/block_i and
-    acc sums the covered level-k lengths.  Levels past the vertex budget are
-    refused before anything is refined.
+    inverse-branch descent of ``vertex_value``.  Each level is the pullback
+    of the last through the partition's own inverse branches, one per cut
+    interval, so no map is consulted and the vertex law holds by
+    construction.  With A the lcm of the reduced slope numerators and W the
+    total weight, level k is kept as integer numerators over W*A^k.  Levels
+    past the vertex budget are refused before anything is refined.
     """
 
     def __init__(self, partition: AffineMarkovPartition):
         self.partition = partition
-        blocks, w = partition.blocks, partition.lengths
-        scale = lcm(*(b // gcd(b, v) for b, v in zip(blocks, w)))
-        self._scale = scale
-        self._factors = tuple(scale * v // b for b, v in zip(blocks, w))
         r = partition.circumference
         numerators = tuple([r * c for c in partition.prefix_sums[:-1]])
         self._tables = [IntegerLevel(0, numerators, partition.total_weight, r)]
@@ -325,7 +363,8 @@ class LevelChain:
         """The level-``depth`` vertices as integers over one denominator."""
         if depth < 0:
             raise ValueError("refinement depth must be nonnegative")
-        limit, p, n = MAX_TABLE_VERTICES, self.partition.interval_count, self.partition.base
+        P, limit = self.partition, MAX_TABLE_VERTICES
+        p, n, r, W = P.interval_count, P.base, P.circumference, P.total_weight
         # A level of at least 2**(2*b) vertices, b the budget's bit length, is
         # refused without forming its count: that takes seconds at depth 10**9,
         # and has too many digits to print from depth ~14,300 in base 2.  As
@@ -337,38 +376,18 @@ class LevelChain:
                 f"level {depth} has {count} vertices, budget is {limit}", limit=limit,
             )
         with self._lock:
-            while len(self._tables) <= depth:
-                self._tables.append(self._refine(self._tables[-1]))
-            return self._tables[depth]
+            tables = self._tables
+            while len(tables) <= depth:
+                last, branches = tables[-1], _partition_branches(P)
+                fresh = _pullback(last.numerators, last.denominator // W, W, r, n, branches)
+                tables.append(IntegerLevel(last.level + 1, tuple(fresh),
+                                           last.denominator * branches[0], r))
+            return tables[depth]
 
     def table(self, depth: int) -> PartitionLevelTable:
         level = self.level(depth)
         with self._lock:
             return level.table()
-
-    def _refine(self, level: IntegerLevel) -> IntegerLevel:
-        """Level k+1 from level k: vertex N of level k lies on cut interval
-        N // n^k, and its interval's branch covers the level-k intervals
-        n*N, ..., n*N + n - 1 (mod M)."""
-        X, A, n = level.numerators, self._scale, self.partition.base
-        M, stride = len(X), n**level.level
-        lengths = [b - a for a, b in zip(X, X[1:])]
-        lengths.append(level.circumference * level.denominator + X[0] - X[-1])
-        # The covered intervals run on past M - 1; as M >= n - 1, at most
-        # one lap on.
-        lengths += lengths[:n]
-        refined = []
-        append = refined.append
-        for i, c in enumerate(self._factors):
-            for N in range(i * stride, (i + 1) * stride):
-                x = X[N] * A
-                append(x)
-                j = n * N % M
-                for length in lengths[j:j + n - 1]:
-                    x += c * length
-                    append(x)
-        return IntegerLevel(level.level + 1, tuple(refined), level.denominator * A,
-                            level.circumference)
 
 
 @dataclass(frozen=True)
@@ -412,23 +431,22 @@ def _descend(P: AffineMarkovPartition, index: int, depth: int) -> Fraction:
     """The conjugator at lifted source grid index ``index`` of ``depth``.
 
     The conjugator h sends source interval i onto cut interval i, and its lift
-    satisfies h(n*q) = G(h(q)), where the lift G of the partition's map is
-    affine with slope s_i on cut interval i and sends cut i to lifted cut n*i,
-    that is e[n*i mod p] + r*floor(n*i/p).  So each level is one inverse
-    branch, and index p*n^depth gives r.
+    satisfies h(n*q) = G(h(q)) for the partition's lift G.  So level k is one
+    inverse branch of G: its index, index mod p*n^k, lies on cut interval
+    part // n^k, past r by part // (p*n^(k-1)) laps, and index p*n^depth
+    gives r.  The walk runs on numerators over W*A^k and forms one
+    ``Fraction`` at the end.
     """
-    n, p, r, e = P.base, P.interval_count, P.circumference, P.endpoints
+    n, p, r, W = P.base, P.interval_count, P.circumference, P.total_weight
+    A, factors, offsets, _ = _partition_branches(P)
     wraps, index = divmod(index, p * n**depth)
-    branches = []
-    for k in range(depth, 0, -1):
-        # n*q has the same index one level up, lifted past r by w.
-        i = index // n**k
-        w, index = divmod(index, p * n**(k - 1))
-        branches.append((i, w - n * i // p))
-    x = e[index]
-    for i, w in reversed(branches):
-        x = e[i] + (x + w * r - e[n * i % p]) / P.slopes[i]
-    return x + wraps * r
+    x, scale = r * P.prefix_sums[index % p], 1  # numerator over W*scale
+    for k in range(1, depth + 1):
+        part = index % (p * n**k)
+        i, laps = part // n**k, part // (p * n**(k - 1))
+        x = factors[i] * (x + laps * r * W * scale) + scale * offsets[i]
+        scale *= A
+    return Fraction(x + wraps * r * W * scale, W * scale)
 
 
 def _source_index(P: AffineMarkovPartition, index: int, level: int) -> tuple[int, int]:

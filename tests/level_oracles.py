@@ -2,26 +2,32 @@
 for the integer ones.
 
 ``AffineMarkovPartition`` keeps its weights as integers and forms its cut
-points and slopes on first read, and ``build_expanding_map`` tests one slope
+points and slopes on each read, and ``build_expanding_map`` tests one slope
 per run between breaks; ``eager_endpoints``, ``eager_slopes`` and
 ``build_by_interval`` are the per-interval ``Fraction`` versions they
-replaced.  ``LevelChain`` refines levels as integer numerators over one
-denominator and ``Conjugator.check`` sweeps the lift's pieces once; the rest
-are the per-vertex ``Fraction`` versions those replaced.  ``refine`` measures
-each interval's proportions on the level itself, where the chain uses the
-partition's slope ratios, so the two agree exactly while the vertex law
-holds.
+replaced.  ``LevelChain`` pulls each level back through the partition's
+integer inverse-branch table (``markov._inverse_branches`` and
+``markov._pullback``), ``vertex_value`` descends the same table one branch
+per level, and ``Conjugator.check`` sweeps the lift's pieces once; the rest
+are the per-vertex ``Fraction`` versions those replaced.  ``refine``
+measures each interval's proportions on the level itself, where the chain
+uses the partition's branches, so the two agree exactly while the vertex
+law holds.  ``fraction_descend`` divides by one ``Fraction`` slope per
+level.
 
 ``PLCircleMap`` keeps its boundaries and lift values as integer numerators
 over one denominator and its slopes as integer pairs; ``FractionCircleMap``
 is the ``Fraction`` class it replaced, with every construction path and
-query, and ``fraction_recovery`` walks and pulls back on it.
+query, and ``fraction_recovery`` walks and pulls back on it, where
+``partition_from_expanding_map`` pulls back through the same branch table
+as ``LevelChain``.
 """
 
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Optional
 
@@ -465,6 +471,32 @@ def refine(table: PartitionLevelTable, n: int) -> PartitionLevelTable:
             new_values.append(vals[N] + length * acc / span)
     return PartitionLevelTable(level=table.level + 1, values=tuple(new_values),
                                circumference=table.circumference)
+
+
+@lru_cache(maxsize=64)
+def _eager_data(P: AffineMarkovPartition) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The cut points and slopes of P, formed once per partition."""
+    return eager_endpoints(P), eager_slopes(P)
+
+
+def fraction_descend(P: AffineMarkovPartition, index: int, depth: int) -> Fraction:
+    """The conjugator at lifted source grid index ``index`` of ``depth``, one
+    ``Fraction`` inverse branch per level: on cut interval i the lift of the
+    partition's map is affine with slope s_i and sends cut i to the lifted
+    cut n*i, that is e[n*i mod p] + r*floor(n*i/p)."""
+    n, p, r = P.base, P.interval_count, P.circumference
+    e, slopes = _eager_data(P)
+    wraps, index = divmod(index, p * n**depth)
+    branches = []
+    for k in range(depth, 0, -1):
+        # n*q has the same index one level up, lifted past r by w.
+        i = index // n**k
+        w, index = divmod(index, p * n**(k - 1))
+        branches.append((i, w - n * i // p))
+    x = e[index]
+    for i, w in reversed(branches):
+        x = e[i] + (x + w * r - e[n * i % p]) / slopes[i]
+    return x + wraps * r
 
 
 def fraction_recovery(g: PLCircleMap, max_refinements: int = 20) -> AffineMarkovPartition:

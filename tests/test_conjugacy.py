@@ -96,6 +96,28 @@ class TestEvaluate:
             conj.evaluate(F(1, 6 * 2**9))
         assert info.value.limit == 2
 
+    @pytest.mark.parametrize("depth", [-1, True, False, 2.0, "3"])
+    def test_malformed_depth_budgets_are_rejected(self, examples, depth):
+        partition, _, _ = examples["2"]
+        with pytest.raises(ValueError, match="max_depth must be a non-negative integer"):
+            Conjugator(partition, max_depth=depth)
+
+    def test_a_zero_depth_budget_serves_all_three_queries(self, examples):
+        partition, _, _ = examples["2"]  # six intervals: 0, 1/4, 1/2, ...
+        conj = Conjugator(partition, max_depth=0)
+        assert conj.evaluate(F(1, 6)) == F(1, 4)
+        assert conj.inverse_value(F(1, 4)) == F(1, 6)
+        with pytest.raises(BudgetExceeded) as info:
+            conj.evaluate(F(1, 12))
+        assert info.value.limit == 0
+        with pytest.raises(NotAVertex):
+            conj.inverse_value(F(1, 8))
+        enclosure = conj.enclosure(F(1, 3), 1)
+        assert (enclosure.depth, enclosure.source) == (0, (F(1, 3), F(1, 2)))
+        with pytest.raises(BudgetExceeded) as info:
+            conj.enclosure(F(1, 3), F(1, 100))
+        assert info.value.limit == 0 and info.value.partial.depth == 0
+
     def test_environment_variable_sets_default_budget(self, examples, monkeypatch):
         partition, _, _ = examples["2"]
         monkeypatch.setenv("CHAMELEON_MAX_DEPTH", "3")
@@ -258,11 +280,12 @@ class TestConjugacyLaw:
         X = level.numerators
         with chain._lock:
             chain._tables[2] = tampered(level, 5, (X[5] + X[6]) // 2)
-        # The check reads only the deepest level.  Level 3 refines the
-        # tampered level 2 by the partition's slope ratios, so the tampered
-        # vertex carries over as vertex 10 and is the first to fail there.
+        # The check reads only the deepest level.  Level 3 is the pullback
+        # of the tampered level 2: its vertex 10 is the untampered 5/16, and
+        # its vertex 5, pulled back from the tampered point 11/32, is the
+        # first to fail there.
         for depth, witness in ((2, (2, 5, F(9, 16), F(19, 32))),
-                               (3, (3, 10, F(9, 16), F(19, 32)))):
+                               (3, (3, 5, F(5, 16), F(11, 32)))):
             outcome = conj.check(depth)
             assert not outcome.passed
             assert outcome.witness == witness

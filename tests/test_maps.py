@@ -400,6 +400,24 @@ class TestCanonicalForm:
         f = PLLineMap.from_profile([F(0), F(1)], [F(1), F(2), F(1)], F(0), F(0))
         assert map_from_dict(map_to_dict(f)) == f
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_line_dict_with_a_non_bool_orientation_is_malformed(self, value):
+        f = PLLineMap.from_profile([F(0), F(1)], [F(1), F(2), F(1)], F(0), F(0))
+        data = dict(map_to_dict(f), reversed=value)
+        with pytest.raises(ParseError, match="reversed true or false"):
+            map_from_dict(data)
+
+    @pytest.mark.parametrize("field,value", [
+        # Iterated character by character, "12" would read as breakpoints 1, 2.
+        ("breakpoints", "12"),
+        ("pieces", {"slope": "1", "intercept": "0"}),
+    ])
+    def test_line_dict_with_non_list_fields_is_malformed(self, field, value):
+        f = PLLineMap.from_profile([F(1), F(2)], [F(1), F(2), F(1)], F(0), F(0))
+        data = dict(map_to_dict(f), **{field: value})
+        with pytest.raises(ParseError, match="breakpoints and pieces must be lists"):
+            map_from_dict(data)
+
 
 class TestCompositionAlgebra:
     def test_compose_evaluates_outer_after_inner(self):

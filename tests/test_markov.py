@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from chameleon.conjugacy import partition_from_expanding_map
 from chameleon.errors import (
     ClassMismatch,
     EndpointNotNAdic,
@@ -24,6 +25,7 @@ from chameleon.markov import (
     AffineMarkovPartition,
     LevelChain,
     VertexRef,
+    _descend,
     build_expanding_map,
     fixed_point_class,
     interval_length_at,
@@ -39,6 +41,7 @@ from level_oracles import (
     derive,
     eager_endpoints,
     eager_slopes,
+    fraction_descend,
     refine,
     standard_level_table,
 )
@@ -135,12 +138,28 @@ class TestConstruction:
             assert report.break_values == want_breaks
             assert circle_map_data(g) == circle_map_data(want_g)
 
-    def test_fraction_tuples_are_formed_on_first_read(self):
-        partition = AffineMarkovPartition(2, [1, 1, 2, 2, 1, 1])
-        build_expanding_map(partition)
-        assert partition._endpoints is None and partition._slopes is None
-        assert partition.endpoints is partition.endpoints
-        assert partition.slopes is partition.slopes
+    def test_the_integer_paths_read_no_fraction_tuples(self, examples, monkeypatch):
+        """The map build, the level tower, recovery and single vertex reads
+        work on the integers alone: none reads ``endpoints`` or ``slopes``."""
+        reads = []
+        for name in ("endpoints", "slopes"):
+            prop = getattr(AffineMarkovPartition, name)
+
+            def counting(self, _name=name, _get=prop.fget):
+                reads.append(_name)
+                return _get(self)
+
+            monkeypatch.setattr(AffineMarkovPartition, name, property(counting))
+        for example_id, (partition, g, _) in examples.items():
+            fresh = AffineMarkovPartition(partition.base, partition.lengths)
+            if example_id not in REFUSAL_IDS:
+                build_expanding_map(fresh)
+                assert partition_from_expanding_map(g) == partition
+            LevelChain(fresh).level(2)
+            level = (fresh.power_exponent or 0) + 2
+            for index in range(0, fresh.interval_count * fresh.base**2, 3):
+                vertex_value(fresh, VertexRef(index, level))
+        assert reads == []
 
     @pytest.mark.parametrize("base,lengths,error,index", [
         # The run from cut 2 wraps past index 0, where slope 3 is met first.
@@ -416,6 +435,25 @@ class TestIntegerRefinement:
                 break
             table = refine(table, n)
             assert chain.table(depth) == table
+
+
+class TestIntegerDescent:
+    """``vertex_value`` descends the partition's integer inverse-branch
+    table, the one ``LevelChain`` pulls back through; the ``Fraction``
+    descent, one slope division per level, is the oracle."""
+
+    @pytest.mark.parametrize("key", REFINEMENT_CORPUS)
+    def test_matches_the_fraction_descent(self, examples, random_conjugate_factory, key):
+        partition = corpus_partition(key, examples, random_conjugate_factory)
+        n, p = partition.base, partition.interval_count
+        depth = 0
+        while p * n**depth <= 4096:
+            count = p * n**depth
+            # Every index of the level, and lifted ones below 0 and past it.
+            for index in (-2 * count - 1, -count, -1, *range(count + 1), 2 * count + 3):
+                assert _descend(partition, index, depth) == fraction_descend(
+                    partition, index, depth), (index, depth)
+            depth += 1
 
 
 class TestVertexAlgebra:
