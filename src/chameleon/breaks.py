@@ -7,6 +7,12 @@ constant on grid classes from the stable refinement level onward, and for
 base 2 its constancy across the newest vertices decides whether the
 partition's conjugator is piecewise linear — in which case the conjugator is
 rebuilt here in closed form.
+
+Two walks give the sums.  ``break_sum_table``, ``pl_criterion`` and
+``find_break_sum_discrepancy`` sum on integers, in one pass over the cut
+indices of a power-form partition (``_cut_walker``).  ``iterated_break_sum``,
+``coboundary_check`` and ``orbit_merge_violations`` walk each point's
+``orbit`` once and add ``break_value`` along it, in Fractions.
 """
 
 from __future__ import annotations
@@ -36,61 +42,12 @@ from .maps import (
 from .markov import (
     AffineMarkovPartition,
     VertexRef,
+    _check_depth,
     build_expanding_map,
     reduce_ref,
     stable_level,
     vertex_value,
 )
-
-
-def _break_sums(g: PLCircleMap, points, n: int,
-                max_steps: int = MAX_ORBIT_STEPS) -> list[int]:
-    """Iterated break sums of circle points, in order, sharing one walk of g.
-
-    Each walk stops at a point summed earlier or where it closes its cycle,
-    and assigns sums back along itself, so g and the break value run once
-    per distinct orbit point.  The first point that refuses raises what
-    ``iterated_break_sum`` raises there.
-    """
-    # Under classify items 3-5 an off-lattice orbit never meets a break.
-    skip = (any(not is_nadic(x, n) for x in points)
-            and all(classify(g, n).items[2:]))
-    known: dict = {}  # point -> (break sum, orbit length)
-    sums = []
-    for x in points:
-        if skip and not is_nadic(x, n):
-            sums.append(0)
-            continue
-        walk, seen, current = [], {}, x
-        while current not in known and current not in seen and len(walk) <= max_steps:
-            seen[current] = len(walk)
-            walk.append(current)
-            current = g.evaluate(current)
-        total, length = known.get(current, (0, 0))
-        length += len(walk)
-        if length > max_steps:
-            orbit(g, x, max_steps=max_steps)  # raises BudgetExceeded
-        cut = seen.get(current, len(walk))  # walk[cut:] is the cycle, if it closed
-        cycle = tuple(walk[cut:])
-        cycle_breaks = tuple([break_value(g, c, n) for c in cycle])
-        if any(cycle_breaks):
-            if len(cycle) == 1:
-                raise DivergentFixedPoint(
-                    f"orbit of {x} ends at fixed point {cycle[0]} with "
-                    f"break value {cycle_breaks[0]}",
-                    point=cycle[0], break_value=cycle_breaks[0],
-                )
-            raise DivergentCycle(
-                f"orbit of {x} enters the cycle {cycle} with break values "
-                f"{cycle_breaks}",
-                cycle=cycle, break_values=cycle_breaks,
-            )
-        known.update(dict.fromkeys(cycle, (0, len(cycle))))
-        for i in reversed(range(cut)):
-            total += break_value(g, walk[i], n)
-            known[walk[i]] = (total, length - i)
-        sums.append(known[x][0])
-    return sums
 
 
 def _cut_walker(P: AffineMarkovPartition):
@@ -138,15 +95,33 @@ def iterated_break_sum(g: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS,
                        base: Optional[int] = None) -> int:
     """Total break value collected along the forward orbit of x.
 
-    Defined exactly when every point of the orbit's eventual cycle has zero
-    break value; refuses with DivergentFixedPoint or DivergentCycle
-    otherwise.  When the map has base-n breaks, power-of-n slopes, and
-    preserves the base-n lattice, points outside the lattice never meet a
-    break, so their sum is 0 without walking the orbit.
+    One ``orbit`` walk of x gives it: the sum is over the walk's prefix, and
+    is defined exactly when every point of the walk's cycle has zero break
+    value; refuses with DivergentFixedPoint or DivergentCycle otherwise.
+    When the map has base-n breaks, power-of-n slopes, and preserves the
+    base-n lattice, points outside the lattice never meet a break, so their
+    sum is 0 without walking the orbit.
     """
     n = base if base is not None else g.circumference + 1
     x = reduce_to_circle(as_fraction(x), g.circumference)
-    return _break_sums(g, [x], n, max_steps)[0]
+    # Under classify items 3-5 an off-lattice orbit never meets a break.
+    if not is_nadic(x, n) and all(classify(g, n).items[2:]):
+        return 0
+    walk = orbit(g, x, max_steps)
+    cycle_breaks = tuple([break_value(g, c, n) for c in walk.cycle])
+    if any(cycle_breaks):
+        if len(walk.cycle) == 1:
+            raise DivergentFixedPoint(
+                f"orbit of {x} ends at fixed point {walk.cycle[0]} with "
+                f"break value {cycle_breaks[0]}",
+                point=walk.cycle[0], break_value=cycle_breaks[0],
+            )
+        raise DivergentCycle(
+            f"orbit of {x} enters the cycle {walk.cycle} with break values "
+            f"{cycle_breaks}",
+            cycle=walk.cycle, break_values=cycle_breaks,
+        )
+    return sum(break_value(g, q, n) for q in walk.prefix)
 
 
 @dataclass(frozen=True)
@@ -259,9 +234,13 @@ def orbit_merge_violations(g: PLCircleMap, P: AffineMarkovPartition,
     An empty result certifies the merge identity on the tested range only;
     whether a violation is reported at the first meeting or any later one is
     immaterial, since after the merge both orbits collect identical terms.
+    Each vertex is walked once with ``orbit``.  ``g`` must be the map
+    ``build_expanding_map(P)`` returns; any other map is refused with
+    ValueError.
     """
-    if level_bound < 0:
-        raise ValueError("level bound must be nonnegative")
+    _check_depth(level_bound, "level bound")
+    if build_expanding_map(P)[0] != g:
+        raise ValueError("g must be the map build_expanding_map(P) returns")
     n = P.base
     # Level 0 holds the cut points, or the n - 1 grid points in power form.
     count = P.interval_count if P.power_exponent is None else n - 1

@@ -36,6 +36,7 @@ from .markov import (
     AffineMarkovPartition,
     IntegerLevel,
     LevelChain,
+    _check_depth,
     _descend,
     _inverse_branches,
     _pullback,
@@ -119,8 +120,8 @@ class Conjugator:
                  max_depth: Optional[int] = None):
         if max_depth is None:
             max_depth = default_memo_depth()
-        elif isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
-            raise ValueError(f"max_depth must be a non-negative integer, got {max_depth!r}")
+        else:
+            _check_depth(max_depth, "max_depth")
         self.partition = partition
         self.map, _ = build_expanding_map(partition)
         self.max_depth = max_depth
@@ -213,8 +214,6 @@ class Conjugator:
         """Verify the vertex permutation law g(T[N]) = T[n*N mod M] on the
         level-``depth`` table.  Level t is every n^(depth-t)-th vertex of it,
         so the law holds on every shallower level too."""
-        if depth < 0:
-            raise ValueError("check depth must be nonnegative")
         witness = _law_witness(self.chain.level(depth), self.map)
         if witness is None:
             return ConjugacyCheck(True, depth, None)
@@ -322,23 +321,16 @@ def periodic_points(m: PLCircleMap, power: int) -> tuple[Fraction, ...]:
                     interval=(reduce_to_circle(start, r), reduce_to_circle(end, r)),
                 )
             continue
-        # Solve s*x + c = x + k*r for integer k with start <= x < end.
-        if s > 1:
-            k = -((-(start * (s - 1) + c)) // r)  # ceiling
-            while True:
-                x = (k * r - c) / (s - 1)
-                if x >= end:
-                    break
-                found.add(reduce_to_circle(x, r))
-                k += 1
-        else:
-            k = (start * (s - 1) + c) // r  # floor; x decreases as k grows
-            while True:
-                x = (k * r - c) / (s - 1)
-                if x >= end:
-                    break
-                found.add(reduce_to_circle(x, r))
-                k -= 1
+        # Solve s*x + c = x + k*r for integer k with start <= x < end.  x
+        # grows with k when s > 1 and shrinks when s < 1, so k steps that
+        # way from the first solution at or past start until x reaches end.
+        d = s - 1
+        step = 1 if d > 0 else -1
+        a = d * start + c  # k*r at x = start
+        k = -(-a // r) if d > 0 else a // r
+        while (x := (k * r - c) / d) < end:
+            found.add(reduce_to_circle(x, r))
+            k += step
     return tuple(sorted(found))
 
 

@@ -340,6 +340,13 @@ class IntegerLevel:
 MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
 
 
+def _check_depth(value, name: str) -> None:
+    """Refuse, with ValueError, a depth or level that is a bool, not an int,
+    or negative."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 class LevelChain:
     """Lazily refined tower of vertex tables for one partition.
 
@@ -361,8 +368,7 @@ class LevelChain:
 
     def level(self, depth: int) -> IntegerLevel:
         """The level-``depth`` vertices as integers over one denominator."""
-        if depth < 0:
-            raise ValueError("refinement depth must be nonnegative")
+        _check_depth(depth, "refinement depth")
         P, limit = self.partition, MAX_TABLE_VERTICES
         p, n, r, W = P.interval_count, P.base, P.circumference, P.total_weight
         # A level of at least 2**(2*b) vertices, b the budget's bit length, is
@@ -479,8 +485,7 @@ def vertex_value(P: AffineMarkovPartition, ref: VertexRef) -> Fraction:
 def interval_length_at(P: AffineMarkovPartition, level: int, index: int) -> Fraction:
     """Length of the level interval starting at the given vertex index, which
     is taken modulo the level's vertex count; read off P like vertex_value."""
-    if level < 0:
-        raise ValueError("refinement level must be nonnegative")
+    _check_depth(level, "refinement level")
     start, depth = _source_index(P, index, level)
     end, _ = _source_index(P, index + 1, level)
     return _descend(P, end, depth) - _descend(P, start, depth)

@@ -15,7 +15,6 @@ from level_oracles import build_by_interval
 from chameleon.breaks import (
     BreakSumTable,
     OrbitMergeViolation,
-    _break_sums,
     _cut_walker,
     break_sum_table,
     coboundary_check,
@@ -35,7 +34,7 @@ from chameleon.errors import (
 from chameleon.exact import as_fraction
 from chameleon.golden import load_example
 from chameleon.conjugacy import periodic_points
-from chameleon.maps import break_value, multiplication_map, orbit
+from chameleon.maps import PLCircleMap, break_value, classify, multiplication_map, orbit
 from chameleon.markov import (
     AffineMarkovPartition,
     LevelChain,
@@ -76,8 +75,9 @@ def orbit_sum_oracle(g, x, stop=None):
 
 
 def iterated_sum_oracle(g, x, n, max_steps=4096):
-    """The per-point orbit() + break_value() sum that the shared walk
-    replaced, refusals and their messages included."""
+    """The per-point orbit() + break_value() sum, refusals and their
+    messages included: the Fraction reference for the cut-index walk, and
+    the form ``iterated_break_sum`` takes off its off-lattice shortcut."""
     result = orbit(g, x, max_steps=max_steps)
     cycle_breaks = tuple(break_value(g, c, n) for c in result.cycle)
     if any(cycle_breaks):
@@ -105,14 +105,16 @@ def outcome(compute):
 
 def break_sum_table_oracle(g, partition):
     """The table as the Fraction walk gives it: stable-level vertex values
-    summed along the orbits of g itself."""
+    summed along the orbits of g itself, in order, so that the first vertex
+    that refuses raises."""
     n, K = partition.base, stable_level(partition)
     if K == 0:
         return BreakSumTable(base=n, stable_level=0, entries=())
     indices = [i for i in range((n - 1) * n**K) if i % n]
     points = [vertex_value(partition, VertexRef(i, K)) for i in indices]
     return BreakSumTable(base=n, stable_level=K,
-                         entries=tuple(zip(indices, _break_sums(g, points, n))))
+                         entries=tuple(zip(indices, [iterated_sum_oracle(g, x, n)
+                                                     for x in points])))
 
 
 def merge_violations_oracle(g, partition, level):
@@ -199,6 +201,16 @@ class TestIteratedSums:
         assert all(break_value(g, p) == 0 for p in res.prefix + res.cycle)
         assert iterated_break_sum(g, F(1, 3)) == 0
 
+    def test_off_lattice_shortcut_needs_lattice_breaks(self):
+        """This map breaks at 1/3, off the dyadic lattice, so classify item 4
+        fails and the orbit of 1/3 is walked: 1/3 is a fixed point with
+        break -2, where skipping every off-lattice point would give 0."""
+        g = PLCircleMap(1, 2, [0, F(1, 3)], [4, 1], 0)
+        assert classify(g, 2).items[2:] == (True, False, True)
+        with pytest.raises(DivergentFixedPoint) as err:
+            iterated_break_sum(g, F(1, 3))
+        assert (err.value.point, err.value.break_value) == (F(1, 3), -2)
+
     @pytest.mark.parametrize("base", (2, 3, 5))
     def test_multiplication_map_sums_vanish(self, base):
         g = multiplication_map(base)
@@ -235,8 +247,8 @@ class TestIteratedSums:
 
 
 class TestSharedWalk:
-    """The walk that shares orbit points between sums, against the per-point
-    orbit() + break_value() sum."""
+    """``iterated_break_sum`` point by point against the per-point orbit() +
+    break_value() sum: values and refusals, messages and fields included."""
 
     @staticmethod
     def corpus(examples, random_conjugate_factory):
@@ -255,57 +267,53 @@ class TestSharedWalk:
             cases.append((g, 2, vertices_at_level(partition, stable_level(partition))))
         return cases
 
+    @staticmethod
+    def compare(g, n, points, max_steps=4096) -> set:
+        """Compare at every point; return the refusal types seen."""
+        kinds = set()
+        for x in points:
+            got = outcome(lambda: iterated_break_sum(g, x, max_steps, base=n))
+            assert got == outcome(lambda: iterated_sum_oracle(g, x, n, max_steps))
+            if isinstance(got, tuple):
+                kinds.add(got[0])
+        return kinds
+
     def test_sums_and_refusals_match_the_per_point_sum(
             self, examples, random_conjugate_factory):
         for g, n, points in self.corpus(examples, random_conjugate_factory):
-            for x in points:
-                assert (outcome(lambda: _break_sums(g, [x], n))
-                        == outcome(lambda: [iterated_sum_oracle(g, x, n)]))
-            assert (outcome(lambda: _break_sums(g, points, n))
-                    == outcome(lambda: [iterated_sum_oracle(g, x, n)
-                                        for x in points]))
+            self.compare(g, n, points)
 
     def test_every_divergence_kind_is_compared(self, examples,
                                               random_conjugate_factory):
-        kinds = {outcome(lambda: _break_sums(g, points, n))[0]
-                 for g, n, points in self.corpus(examples,
-                                                 random_conjugate_factory)}
+        kinds = set()
+        for g, n, points in self.corpus(examples, random_conjugate_factory):
+            kinds |= self.compare(g, n, points)
         assert {DivergentFixedPoint, DivergentCycle} <= kinds
 
     @pytest.mark.parametrize("example_id", ("1", "3", "4"))
     def test_budget_refusals_match(self, examples, example_id):
-        """Small step budgets, on fresh walks and on walks that reach points
-        summed earlier in the same call."""
+        """Small step budgets, on the vertices one level past the stable one
+        and on their images."""
         partition, g, _ = examples[example_id]
-        n = partition.base
         points = vertices_at_level(partition, stable_level(partition) + 1)
-        orders = (points, points[::-1],
-                  [q for x in points for q in (g.evaluate(x), x)])
+        points += [g.evaluate(x) for x in points]
         refusals = set()
         for max_steps in range(1, 8):
-            for order in orders:
-                got = outcome(lambda: _break_sums(g, order, n, max_steps))
-                assert got == outcome(lambda: [iterated_sum_oracle(g, x, n, max_steps)
-                                               for x in order])
-                if isinstance(got, tuple):
-                    refusals.add(got[0])
+            refusals |= self.compare(g, partition.base, points, max_steps)
         assert BudgetExceeded in refusals
 
     def test_budget_refusals_on_a_two_cycle(self, examples):
         """Orbits that end on the zero-break two-cycle {5/16, 5/8} of the
-        third example, walked shortest first so later walks reach the cycle
-        already summed, and longest first."""
+        third example, the longest at least five points long."""
         _, g, _ = examples["3"]
         cycle = {F(5, 16), F(5, 8)}
-        points = sorted((x for x in (F(j, 256) for j in range(256))
-                         if set(orbit(g, x).cycle) == cycle),
-                        key=lambda x: len(orbit(g, x).points))
-        assert len(orbit(g, points[-1]).points) >= 5
+        points = [x for x in (F(j, 256) for j in range(256))
+                  if set(orbit(g, x).cycle) == cycle]
+        assert max(len(orbit(g, x).points) for x in points) >= 5
+        refusals = set()
         for max_steps in range(1, 8):
-            for order in (points, points[::-1]):
-                assert (outcome(lambda: _break_sums(g, order, 2, max_steps))
-                        == outcome(lambda: [iterated_sum_oracle(g, x, 2, max_steps)
-                                            for x in order]))
+            refusals |= self.compare(g, 2, points, max_steps)
+        assert BudgetExceeded in refusals
 
 
 class TestIndexWalk:
@@ -334,9 +342,11 @@ class TestIndexWalk:
         assert {BreakSumTable, NotPowerForm, DivergentFixedPoint} <= kinds
 
     def test_sums_at_every_cut_match(self, examples, random_conjugate_factory):
-        """Every cut point, one at a time and all in one call.  The walker
-        takes power-form partitions only, the form its callers reach after
-        ``stable_level``, and refuses the others as ``stable_level`` does."""
+        """Every cut point, one at a time and all in one call, against the
+        Fraction sums taken in order, so that the first cut that refuses
+        raises.  The walker takes power-form partitions only, the form its
+        callers reach after ``stable_level``, and refuses the others as
+        ``stable_level`` does."""
         kinds = set()
         for partition, g in self.corpus(examples, random_conjugate_factory):
             n = partition.base
@@ -350,9 +360,10 @@ class TestIndexWalk:
             assert K == stable_level(partition)
             for c in cuts:
                 assert (outcome(lambda: walk([c]))
-                        == outcome(lambda: _break_sums(g, [partition.endpoints[c]], n)))
+                        == outcome(lambda: [iterated_sum_oracle(g, partition.endpoints[c], n)]))
             got = outcome(lambda: walk(cuts))
-            assert got == outcome(lambda: _break_sums(g, partition.endpoints, n))
+            assert got == outcome(lambda: [iterated_sum_oracle(g, x, n)
+                                           for x in partition.endpoints])
             if isinstance(got, tuple):
                 kinds.add(got[0])
         assert kinds == {NotPowerForm, DivergentFixedPoint}
@@ -415,8 +426,8 @@ class TestOnePassSums:
         outcomes = []
         for cuts in [[c] for c in range(p)] + [list(range(p)), list(range(p))[::-1]]:
             got = outcome(lambda: walk(cuts))
-            assert got == outcome(lambda: _break_sums(
-                g, [partition.endpoints[c] for c in cuts], n))
+            assert got == outcome(lambda: [iterated_sum_oracle(g, partition.endpoints[c], n)
+                                           for c in cuts])
             outcomes.append(got)
         return outcomes
 
@@ -633,6 +644,15 @@ class TestOrbitMerge:
             _, g, partition = random_conjugate_factory(seed)
             assert (orbit_merge_violations(g, partition, 3)
                     == merge_violations_oracle(g, partition, 3))
+
+    def test_a_map_other_than_the_partitions_is_refused(self, examples):
+        """Examples 1 and 3 swapped, and the model map: each vertex orbit
+        must be walked under the partition's own map."""
+        (p1, g1, _), (p3, g3, _) = examples["1"], examples["3"]
+        for g, partition in ((g3, p1), (g1, p3), (multiplication_map(2), p1),
+                             (multiplication_map(2), p3)):
+            with pytest.raises(ValueError, match="build_expanding_map"):
+                orbit_merge_violations(g, partition, 2)
 
     @pytest.mark.parametrize("example_id", ("1", "2"))
     def test_negative_level_is_refused(self, examples, example_id):

@@ -15,6 +15,7 @@ import level_oracles
 from level_oracles import fraction_recovery, law_witness
 
 from chameleon import conjugacy, markov
+from chameleon.breaks import orbit_merge_violations
 from chameleon.conjugacy import (
     Conjugator,
     EqualityCounterexample,
@@ -101,6 +102,24 @@ class TestEvaluate:
         partition, _, _ = examples["2"]
         with pytest.raises(ValueError, match="max_depth must be a non-negative integer"):
             Conjugator(partition, max_depth=depth)
+
+    @pytest.mark.parametrize("entry", ("level", "check", "image status",
+                                       "interval length", "merge scan"))
+    @pytest.mark.parametrize("depth", [-1, True, False, 1.0, 2.0, "1", F(1)])
+    def test_malformed_depths_are_rejected(self, examples, entry, depth):
+        """Every depth or level argument is a non-negative int, refused
+        alike: a bool is not taken for 0 or 1, nor 2.0 for 2."""
+        partition, g, _ = examples["1"]
+        conj = Conjugator(partition)
+        call = {
+            "level": lambda: conj.chain.level(depth),
+            "check": lambda: conj.check(depth),
+            "image status": lambda: nadic_image_status(conj, depth),
+            "interval length": lambda: interval_length_at(partition, depth, 0),
+            "merge scan": lambda: orbit_merge_violations(g, partition, depth),
+        }[entry]
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            call()
 
     def test_a_zero_depth_budget_serves_all_three_queries(self, examples):
         partition, _, _ = examples["2"]  # six intervals: 0, 1/4, 1/2, ...
@@ -670,6 +689,36 @@ class TestPeriodicPoints:
     def test_power_validation(self):
         with pytest.raises(ValueError):
             periodic_points(multiplication_map(2), 0)
+
+    @pytest.mark.parametrize("power", (1, 2))
+    def test_homeomorphisms_match_a_scan_of_the_window_pieces(self, power):
+        """Seeded homeomorphisms have contracting branches, which no other
+        map here has.  Each window piece x -> s*x + c of the composite is
+        scanned over every lap k that can reach s*x + c = x + k*r."""
+        contracting = 0
+        for seed in range(40):
+            m = random_dyadic_homeomorphism(random.Random(seed))
+            comp = m.iterate(power)
+            r = comp.circumference
+            found, neutral = set(), False
+            for start, end, branch in comp.window_pieces():
+                s, c = branch.slope, branch.intercept
+                if s == 1:
+                    neutral |= reduce_to_circle(c, r) == 0
+                    continue
+                bound = int((abs(s - 1) * max(abs(start), abs(end)) + abs(c)) / r) + 1
+                for k in range(-bound, bound + 1):
+                    x = (k * r - c) / (s - 1)
+                    if start <= x < end:
+                        found.add(reduce_to_circle(x, r))
+            if neutral:
+                with pytest.raises(NeutralBranch):
+                    periodic_points(m, power)
+                continue
+            assert periodic_points(m, power) == tuple(sorted(found))
+            assert all(comp.evaluate(x) == x for x in found)
+            contracting += any(b.slope < 1 for _, _, b in comp.window_pieces())
+        assert contracting >= 10
 
 
 def image_status_oracle(conj, depth):
