@@ -5,8 +5,9 @@ break values (base-n logs of slope ratios) collected along its forward orbit.
 It is finite exactly when the orbit's eventual cycle carries no breaks, it is
 constant on grid classes from the stable refinement level onward, and for
 base 2 its constancy across the newest vertices decides whether the
-partition's conjugator is piecewise linear — in which case the conjugator is
-rebuilt here in closed form.
+partition's conjugator is piecewise linear.  The sums only decide: a PL
+conjugator breaks only over cut points, so it is the pairing interpolant
+that ``conjugacy`` builds, sending grid point i/p to cut i.
 
 Two walks give the sums.  ``break_sum_table``, ``pl_criterion`` and
 ``find_break_sum_discrepancy`` sum on integers, in one pass over the cut
@@ -22,27 +23,21 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Optional
 
-from .errors import (
-    DivergentCycle,
-    DivergentFixedPoint,
-    ReconstructionMismatch,
-    SlopeNotPowerOfTwo,
-)
-from .exact import as_fraction, is_nadic, power_exponent
+from .conjugacy import _pairing_conjugator
+from .errors import DivergentCycle, DivergentFixedPoint
+from .exact import _check_depth, as_fraction, is_nadic, ratio_exponent
 from .maps import (
     MAX_ORBIT_STEPS,
     PLCircleMap,
     break_value,
     classify,
     map_to_dict,
-    multiplication_map,
     orbit,
     reduce_to_circle,
 )
 from .markov import (
     AffineMarkovPartition,
     VertexRef,
-    _check_depth,
     build_expanding_map,
     reduce_ref,
     stable_level,
@@ -289,8 +284,10 @@ class BreakAssignment:
 class CriterionVerdict:
     """Outcome of the base-2 piecewise-linearity decision.
 
-    A positive verdict carries the rebuilt conjugator and its initial slope;
-    a negative one carries two stable-level vertices whose break sums differ.
+    The break sums decide.  A positive verdict carries the conjugator, which
+    is then the pairing interpolant, with its initial slope and its breaks
+    at the cut points; a negative one carries two stable-level vertices
+    whose break sums differ.
     """
 
     is_pl: bool
@@ -326,11 +323,12 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     """Decide whether the partition's conjugator is piecewise linear (base 2).
 
     The conjugator is PL exactly when the break sum is constant across the
-    newest stable-level vertices.  On success the conjugator is rebuilt from
-    the sums: the defect of each shallow vertex prescribes a break at the
-    height of that vertex, the initial slope is solved exactly from the
-    requirement that the pieces close up around the circle, and the rebuilt
-    map is verified to intertwine doubling with g before it is returned.
+    newest stable-level vertices, so the sums decide.  On success the
+    conjugator is the pairing interpolant ``conjugacy._pairing_conjugator``
+    builds, verified to intertwine doubling with g: the sums prescribe
+    breaks only over shallow vertices, which are cut points, so a PL
+    conjugator is affine on every source interval of the p-grid.  Its
+    initial slope is p*w[0]/W and its break at cut i is log2(w[i]/w[i-1]).
     ``g`` must be the map ``build_expanding_map(P)`` returns; any other map is
     refused with ValueError.
     """
@@ -351,45 +349,16 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
             witness_values=(first_val, other_val),
             conjugator=None, initial_slope=None, assignment=None,
         )
-    common = table.constant_value()
-    # The shallow vertices (i, K) with i even, as cuts.
-    m = P.power_exponent
-    shallow = range(0, 2**m, 2**(m - K + 1))
-    assignment = BreakAssignment(entries=tuple(sorted(
-        (P.cut(c), common - v) for c, v in zip(shallow, walk(shallow))
-        if v != common
-    )))
-    if assignment.total != 0:
-        raise ReconstructionMismatch(
-            f"break budget sums to {assignment.total}, expected 0"
-        )
-    heights = [(x, b) for x, b in assignment.entries if x != 0]
-    # Segment j runs between consecutive heights (0 and 1 padding the ends)
-    # and carries slope m * 2^(cumulative break above it).
-    cuts = [Fraction(0)] + [x for x, _ in heights] + [Fraction(1)]
-    cumulative = [0]
-    for _, b in heights:
-        cumulative.append(cumulative[-1] + b)
-    m = sum((cuts[j + 1] - cuts[j]) * Fraction(2)**(-cumulative[j])
-            for j in range(len(cuts) - 1))
-    if power_exponent(m, 2) is None:
-        raise SlopeNotPowerOfTwo(f"initial slope solves to {m}", slope=m)
-    boundaries = [Fraction(0)]
-    slopes = []
-    for j in range(len(cuts) - 1):
-        s = m * Fraction(2)**cumulative[j]
-        slopes.append(s)
-        if j < len(cuts) - 2:
-            boundaries.append(boundaries[-1] + (cuts[j + 1] - cuts[j]) / s)
-    rebuilt = PLCircleMap(1, 1, tuple(boundaries), tuple(slopes), Fraction(0))
-    model = multiplication_map(2)
-    if rebuilt.compose(model) != g.compose(rebuilt):
-        raise ReconstructionMismatch(
-            "rebuilt conjugator fails to intertwine doubling with the map"
-        )
+    # A constant table puts the conjugator in the pairing interpolant; its
+    # breaks sit at the cuts where the weight changes.
+    n, p, W, w = P.base, P.interval_count, P.total_weight, P.lengths
+    h = _pairing_conjugator(P, g)
+    assignment = BreakAssignment(entries=tuple([
+        (P.cut(i), ratio_exponent(w[i], w[i - 1], n))
+        for i in range(p) if w[i] != w[i - 1]]))
     return CriterionVerdict(
         is_pl=True, stable_level=K, table=table, witness=None,
-        witness_values=None, conjugator=rebuilt, initial_slope=m,
+        witness_values=None, conjugator=h, initial_slope=Fraction(p * w[0], W),
         assignment=assignment,
     )
 
@@ -419,8 +388,7 @@ def find_break_sum_discrepancy(P: AffineMarkovPartition, left: VertexRef,
     """
     if P.base != 2:
         raise ValueError("the discrepancy search is specific to base 2")
-    if pad < 1:
-        raise ValueError("pad must be at least 1")
+    _check_depth(pad, "pad", 1)
     if table is None:
         table = break_sum_table(P)
     K = table.stable_level

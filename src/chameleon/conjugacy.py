@@ -30,13 +30,12 @@ from .errors import (
     ParseError,
     ReconstructionMismatch,
 )
-from .exact import as_fraction, is_nadic, is_smooth, to_nadic
+from .exact import _check_depth, as_fraction, is_nadic, is_smooth, to_nadic
 from .maps import MAX_ORBIT_STEPS, PLCircleMap, multiplication_map, orbit, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
     IntegerLevel,
     LevelChain,
-    _check_depth,
     _descend,
     _inverse_branches,
     _pullback,
@@ -269,12 +268,29 @@ def equal_pairs(P: AffineMarkovPartition) -> bool:
     return all(P.lengths[2 * i] == P.lengths[2 * i + 1] for i in range(p // 2))
 
 
+def _pairing_conjugator(P: AffineMarkovPartition, g: PLCircleMap) -> PLCircleMap:
+    """The pairing interpolant: the circle map sending source grid point
+    i*r/p to cut i, affine in between, so with slope p*w[i]/W on source
+    interval i and a boundary only where the weight changes.  It is the
+    conjugator exactly when it intertwines multiplication by n with g;
+    refuses with ReconstructionMismatch otherwise."""
+    n, p, r, W, w = P.base, P.interval_count, P.circumference, P.total_weight, P.lengths
+    keep = [i for i in range(p) if w[i] != w[i - 1]] or [0]
+    h = PLCircleMap(r, 1, [Fraction(r * i, p) for i in keep],
+                    [Fraction(p * w[i], W) for i in keep], P.cut(keep[0]))
+    if h.compose(multiplication_map(n, r)) != g.compose(h):
+        raise ReconstructionMismatch(
+            "pairing map fails to intertwine the expanding map with the model"
+        )
+    return h
+
+
 def extract_pl_h(conj: Conjugator) -> PLCircleMap:
     """The conjugator as an explicit piecewise-linear circle map.
 
-    Only exists when the partition pairs up; then the map interpolating
-    vertex i at height i/p is the whole conjugator, which is verified by
-    the intertwining identity before returning.
+    Only exists when the partition pairs up; then the pairing interpolant,
+    vertex i at height i/p, is the whole conjugator (``_pairing_conjugator``
+    verifies the intertwining identity before returning it).
     """
     P = conj.partition
     if not equal_pairs(P):
@@ -285,18 +301,7 @@ def extract_pl_h(conj: Conjugator) -> PLCircleMap:
             f"{P.lengths[2 * bad]} and {P.lengths[2 * bad + 1]}",
             witness=(2 * bad, (P.lengths[2 * bad], P.lengths[2 * bad + 1])),
         )
-    p, r = P.interval_count, P.circumference
-    heights = tuple(Fraction(r * i, p) for i in range(p))
-    slopes = tuple(
-        (P.interval_length(i)) / Fraction(r, p) for i in range(p)
-    )
-    h = PLCircleMap(r, 1, heights, slopes, 0)
-    model = multiplication_map(P.base, r)
-    if h.compose(model) != conj.map.compose(h):
-        raise ReconstructionMismatch(
-            "pairing map fails to intertwine the expanding map with the model"
-        )
-    return h
+    return _pairing_conjugator(P, conj.map)
 
 
 def periodic_points(m: PLCircleMap, power: int) -> tuple[Fraction, ...]:
@@ -306,8 +311,7 @@ def periodic_points(m: PLCircleMap, power: int) -> tuple[Fraction, ...]:
     (slope one, shift zero mod the circumference), since the set is then
     infinite.
     """
-    if power < 1:
-        raise ValueError("power must be at least 1")
+    _check_depth(power, "power", 1)
     comp = m.iterate(power)
     r = comp.circumference
     found = set()
@@ -402,6 +406,7 @@ def partition_from_expanding_map(g: PLCircleMap,
     orbits that set K are walked on reduced integer pairs, and the rebuild is
     the one ``build_expanding_map`` keeps on the partition.
     """
+    _check_depth(max_refinements, "max_refinements")
     r, n = g.circumference, g.degree
     if n < 2:
         raise ValueError("need an expanding map of degree at least 2")

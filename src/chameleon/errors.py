@@ -186,7 +186,11 @@ class DivergentCycle(RefusalError):
 
 
 class SlopeNotPowerOfTwo(RefusalError):
-    """The reconstructed initial slope is not an integral power of two."""
+    """The reconstructed initial slope is not an integral power of two.
+
+    Nothing in the package raises it: an intertwining PL conjugator on
+    dyadic cuts always has power-of-two slopes.  It stays for callers.
+    """
 
     def __init__(self, message: str, *, slope=None):
         super().__init__(message)
@@ -194,7 +198,7 @@ class SlopeNotPowerOfTwo(RefusalError):
 
 
 class ReconstructionMismatch(RefusalError):
-    """The rebuilt conjugator fails to intertwine the map with the model map."""
+    """The pairing conjugator fails to intertwine the map with the model map."""
 
 
 class BadLength(RefusalError):

@@ -30,6 +30,14 @@ def as_fraction(q) -> Fraction:
     raise TypeError(f"not a rational value: {q!r}")
 
 
+def _check_depth(value, name: str, least: int = 0) -> None:
+    """Refuse, with ValueError, a depth, level or count that is a bool, not
+    an int, or below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' with optional sign; reject anything else."""
     if not isinstance(text, str):

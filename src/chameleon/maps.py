@@ -55,6 +55,7 @@ from .errors import (
     ParseError,
 )
 from .exact import (
+    _check_depth,
     as_fraction,
     digit_class,
     format_rational,
@@ -460,8 +461,7 @@ class PLCircleMap:
 
     def iterate(self, power: int) -> "PLCircleMap":
         """Compose the map with itself the given number of times (power >= 1)."""
-        if power < 1:
-            raise ValueError("power must be at least 1")
+        _check_depth(power, "power", 1)
         result = self
         for _ in range(power - 1):
             result = result.compose(self)

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     SlopeNotPowerOfN,
 )
-from .exact import is_nadic, ratio_exponent, trailing_zeros
+from .exact import _check_depth, is_nadic, ratio_exponent, trailing_zeros
 from .maps import PLCircleMap
 
 
@@ -340,13 +340,6 @@ class IntegerLevel:
 MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
 
 
-def _check_depth(value, name: str) -> None:
-    """Refuse, with ValueError, a depth or level that is a bool, not an int,
-    or negative."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 class LevelChain:
     """Lazily refined tower of vertex tables for one partition.
 
@@ -405,8 +398,8 @@ class VertexRef:
     level: int
 
     def __post_init__(self):
-        if self.index < 0 or self.level < 0:
-            raise ValueError("vertex references are nonnegative")
+        _check_depth(self.index, "vertex index")
+        _check_depth(self.level, "vertex level")
 
 
 def reduce_ref(ref: VertexRef, n: int) -> VertexRef:

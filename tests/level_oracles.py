@@ -21,6 +21,12 @@ is the ``Fraction`` class it replaced, with every construction path and
 query, and ``fraction_recovery`` walks and pulls back on it, where
 ``partition_from_expanding_map`` pulls back through the same branch table
 as ``LevelChain``.
+
+``pl_criterion`` lets the break sums decide and returns the pairing
+interpolant of ``conjugacy._pairing_conjugator`` as the conjugator;
+``break_sum_rebuild`` is the rebuild from the sums it replaced, which
+breaks over the shallow vertices, solves the initial slope and integrates
+the boundaries.
 """
 
 from __future__ import annotations
@@ -31,13 +37,16 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Optional
 
+from chameleon.breaks import BreakAssignment, CriterionVerdict, _cut_walker, _table
 from chameleon.errors import (
     BudgetExceeded,
     EndpointNotNAdic,
     NotAVertex,
     NotInvertible,
     NotMarkov,
+    ReconstructionMismatch,
     SlopeNotPowerOfN,
+    SlopeNotPowerOfTwo,
 )
 from chameleon.exact import (
     as_fraction,
@@ -46,11 +55,12 @@ from chameleon.exact import (
     power_exponent,
     reduce_to_circle,
 )
-from chameleon.maps import AffinePiece, PLCircleMap, orbit
+from chameleon.maps import AffinePiece, PLCircleMap, multiplication_map, orbit
 from chameleon.markov import (
     AffineMarkovPartition,
     PartitionLevelTable,
     build_expanding_map,
+    stable_level,
 )
 
 
@@ -575,3 +585,61 @@ def fraction_recovery(g: PLCircleMap, max_refinements: int = 20) -> AffineMarkov
     if rebuilt != target:
         raise NotMarkov("recovered cut points do not rebuild the map", index=-1)
     return P
+
+
+def break_sum_rebuild(P: AffineMarkovPartition, g: PLCircleMap) -> CriterionVerdict:
+    """The positive ``pl_criterion`` verdict rebuilt from the break sums, for
+    a base-2 partition with a constant table and its own map g.
+
+    The defect of each shallow vertex prescribes a break at the height of
+    that vertex, the initial slope is solved exactly from the requirement
+    that the pieces close up around the circle, and the rebuilt map is
+    verified to intertwine doubling with g.
+    """
+    K = stable_level(P)
+    built, _, walk = _cut_walker(P)
+    if P.base != 2 or built != g:
+        raise ValueError("the rebuild is for base 2 and the partition's own map")
+    table = _table(P, K, walk)
+    if not table.is_constant:
+        raise ValueError("the rebuild needs a constant table")
+    common = table.constant_value()
+    # The shallow vertices (i, K) with i even, as cuts.
+    m = P.power_exponent
+    shallow = range(0, 2**m, 2**(m - K + 1))
+    assignment = BreakAssignment(entries=tuple(sorted(
+        (P.cut(c), common - v) for c, v in zip(shallow, walk(shallow))
+        if v != common
+    )))
+    if assignment.total != 0:
+        raise ReconstructionMismatch(
+            f"break budget sums to {assignment.total}, expected 0"
+        )
+    heights = [(x, b) for x, b in assignment.entries if x != 0]
+    # Segment j runs between consecutive heights (0 and 1 padding the ends)
+    # and carries slope m * 2^(cumulative break above it).
+    cuts = [Fraction(0)] + [x for x, _ in heights] + [Fraction(1)]
+    cumulative = [0]
+    for _, b in heights:
+        cumulative.append(cumulative[-1] + b)
+    m = sum((cuts[j + 1] - cuts[j]) * Fraction(2)**(-cumulative[j])
+            for j in range(len(cuts) - 1))
+    if power_exponent(m, 2) is None:
+        raise SlopeNotPowerOfTwo(f"initial slope solves to {m}", slope=m)
+    boundaries = [Fraction(0)]
+    slopes = []
+    for j in range(len(cuts) - 1):
+        s = m * Fraction(2)**cumulative[j]
+        slopes.append(s)
+        if j < len(cuts) - 2:
+            boundaries.append(boundaries[-1] + (cuts[j + 1] - cuts[j]) / s)
+    rebuilt = PLCircleMap(1, 1, tuple(boundaries), tuple(slopes), Fraction(0))
+    if rebuilt.compose(multiplication_map(2)) != g.compose(rebuilt):
+        raise ReconstructionMismatch(
+            "rebuilt conjugator fails to intertwine doubling with the map"
+        )
+    return CriterionVerdict(
+        is_pl=True, stable_level=K, table=table, witness=None,
+        witness_values=None, conjugator=rebuilt, initial_slope=m,
+        assignment=assignment,
+    )

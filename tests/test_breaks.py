@@ -3,14 +3,15 @@ base-2 piecewise-linearity decision."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import corpus_partition, subdivision_conjugate
-from level_oracles import build_by_interval
+from conftest import corpus_partition, rescaled_level_partition, subdivision_conjugate
+from level_oracles import break_sum_rebuild, build_by_interval
 
 from chameleon.breaks import (
     BreakSumTable,
@@ -27,6 +28,7 @@ from chameleon.errors import (
     BudgetExceeded,
     DivergentCycle,
     DivergentFixedPoint,
+    EndpointNotNAdic,
     NotPowerForm,
     RefusalError,
     SlopeNotPowerOfN,
@@ -423,11 +425,15 @@ class TestOnePassSums:
         g, _ = build_expanding_map(partition)
         n, p = partition.base, partition.interval_count
         _, _, walk = _cut_walker(partition)
+        # The Fraction walk once per cut: a list of cuts refuses as its
+        # first refusing cut does, and gives the values in order otherwise.
+        singles = [outcome(lambda: iterated_sum_oracle(g, partition.cut(c), n))
+                   for c in range(p)]
         outcomes = []
         for cuts in [[c] for c in range(p)] + [list(range(p)), list(range(p))[::-1]]:
             got = outcome(lambda: walk(cuts))
-            assert got == outcome(lambda: [iterated_sum_oracle(g, partition.endpoints[c], n)
-                                           for c in cuts])
+            assert got == next((singles[c] for c in cuts if isinstance(singles[c], tuple)),
+                               [singles[c] for c in cuts])
             outcomes.append(got)
         return outcomes
 
@@ -726,25 +732,58 @@ class TestPLCriterion:
             assert payload["outcome"] == "pl"
             json.dumps(payload)
 
-    def test_verdict_matches_pairing_where_defined(self, examples,
-                                                   random_conjugate_factory):
-        """Wherever the decision procedure returns a verdict at all, it must
-        agree with the endpoint-pairing route to the same question."""
-        from chameleon.conjugacy import equal_pairs
-
-        corpus = [(p, g) for p, g, _ in examples.values()]
-        for seed in (3, 7):
-            _, g, partition = random_conjugate_factory(seed)
-            corpus.append((partition, g))
-        decided = 0
-        for partition, g in corpus:
+    @pytest.fixture(scope="class")
+    def decided(self, examples, random_conjugate_factory):
+        """(partition, verdict) wherever the decision returns a verdict, over
+        the examples, every base-2 weight vector with p in {2, 4, 8} and
+        weights 1-4, the level-1 and level-2 refinements of examples 1 and 3,
+        and random conjugates 0-11."""
+        partitions = itertools.chain(
+            (p for p, _, _ in examples.values()),
+            (AffineMarkovPartition(2, lengths) for p in (2, 4, 8)
+             for lengths in itertools.product(range(1, 5), repeat=p)),
+            (rescaled_level_partition(examples[i][0], depth)
+             for i in ("1", "3") for depth in (1, 2)),
+            (random_conjugate_factory(seed)[2] for seed in range(12)),
+        )
+        found = []
+        for partition in partitions:
             try:
-                verdict = pl_criterion(g, partition)
-            except (NotPowerForm, DivergentFixedPoint, DivergentCycle):
+                g, _ = build_expanding_map(partition)
+                found.append((partition, pl_criterion(g, partition)))
+            except (SlopeNotPowerOfN, EndpointNotNAdic, NotPowerForm,
+                    DivergentFixedPoint, DivergentCycle):
                 continue
-            decided += 1
+        return found
+
+    def test_verdict_matches_pairing_where_defined(self, decided):
+        """Wherever the decision procedure returns a verdict at all, it must
+        agree with the endpoint-pairing route to the same question, and a
+        PL verdict carries the pairing interpolant."""
+        from chameleon.conjugacy import Conjugator, equal_pairs, extract_pl_h
+
+        for partition, verdict in decided:
             assert verdict.is_pl == equal_pairs(partition)
-        assert decided >= 4
+            if verdict.is_pl:
+                assert verdict.conjugator == extract_pl_h(Conjugator(partition))
+        not_pl = [p.interval_count for p, v in decided if not v.is_pl]
+        assert len(decided) - len(not_pl) == 24 + 12
+        assert sorted(not_pl) == [16, 16, 32, 32, 64, 64]
+
+    def test_verdict_matches_the_break_sum_rebuild(self, decided):
+        """A PL verdict is the one the sums rebuild in closed form: the
+        conjugator, its initial slope, the break assignment and the record."""
+        for partition, verdict in decided:
+            g, _ = build_expanding_map(partition)
+            if not verdict.is_pl:
+                with pytest.raises(ValueError, match="constant table"):
+                    break_sum_rebuild(partition, g)
+                continue
+            rebuilt = break_sum_rebuild(partition, g)
+            assert verdict.conjugator == rebuilt.conjugator
+            assert verdict.initial_slope == rebuilt.initial_slope
+            assert verdict.assignment.entries == rebuilt.assignment.entries
+            assert verdict.as_dict() == rebuilt.as_dict()
 
     def test_fixed_points_of_conjugates_are_smooth(self, random_conjugate_factory):
         """A map conjugate to doubling has both one-sided slopes equal to 2

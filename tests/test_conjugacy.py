@@ -15,7 +15,7 @@ import level_oracles
 from level_oracles import fraction_recovery, law_witness
 
 from chameleon import conjugacy, markov
-from chameleon.breaks import orbit_merge_violations
+from chameleon.breaks import find_break_sum_discrepancy, orbit_merge_violations
 from chameleon.conjugacy import (
     Conjugator,
     EqualityCounterexample,
@@ -119,6 +119,32 @@ class TestEvaluate:
             "merge scan": lambda: orbit_merge_violations(g, partition, depth),
         }[entry]
         with pytest.raises(ValueError, match="must be a non-negative integer"):
+            call()
+
+    @pytest.mark.parametrize("entry", ("recovery refinements", "periodic power",
+                                       "iterate power", "discrepancy pad",
+                                       "vertex index", "vertex level"))
+    @pytest.mark.parametrize("value", ["below", True, 1.5, 2.0, "1"])
+    def test_malformed_counts_are_rejected(self, examples, entry, value):
+        """Refinement budgets and vertex fields are ints of at least 0, powers
+        and pads ints of at least 1; anything else is an input error, not a
+        refusal, a leaked TypeError or a bool taken for 1."""
+        partition, g, _ = examples["1"]
+        least = {"recovery refinements": 0, "vertex index": 0, "vertex level": 0}.get(entry, 1)
+        if value == "below":
+            value = least - 1
+        anchor = VertexRef(1, 4)
+        call = {
+            "recovery refinements": lambda: partition_from_expanding_map(g, value),
+            "periodic power": lambda: periodic_points(g, value),
+            "iterate power": lambda: g.iterate(value),
+            "discrepancy pad": lambda: find_break_sum_discrepancy(
+                partition, anchor, anchor, pad=value),
+            "vertex index": lambda: VertexRef(value, 1),
+            "vertex level": lambda: VertexRef(1, value),
+        }[entry]
+        kind = "a non-negative integer" if least == 0 else "an integer of at least 1"
+        with pytest.raises(ValueError, match=f"must be {kind}, got {value!r}"):
             call()
 
     def test_a_zero_depth_budget_serves_all_three_queries(self, examples):
