@@ -66,7 +66,6 @@ from .errors import (
     ReconstructionMismatch,
     RefusalError,
     SlopeNotPowerOfN,
-    SlopeNotPowerOfTwo,
 )
 from .exact import (
     CirclePoint,

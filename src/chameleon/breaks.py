@@ -97,6 +97,7 @@ def iterated_break_sum(g: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS,
     base-n lattice, points outside the lattice never meet a break, so their
     sum is 0 without walking the orbit.
     """
+    _check_depth(max_steps, "max_steps")
     n = base if base is not None else g.circumference + 1
     x = reduce_to_circle(as_fraction(x), g.circumference)
     # Under classify items 3-5 an off-lattice orbit never meets a break.
@@ -267,10 +268,6 @@ class BreakAssignment:
     """Finitely supported integer break budget on circle points."""
 
     entries: tuple[tuple[Fraction, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
 
     def value_at(self, x) -> int:
         x = as_fraction(x)

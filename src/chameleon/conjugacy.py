@@ -8,6 +8,7 @@ points, inverts it on vertices, brackets it everywhere else with nested
 enclosures, certifies the vertex law to any depth, and extracts h in closed
 form when the partition pairs up.  Evaluation descends the partition's
 integer inverse-branch table; recovery pulls 0 back through a map's.
+Forward, ``inverse_value`` and recovery's orbit walk take g's integer step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     ReconstructionMismatch,
 )
 from .exact import _check_depth, as_fraction, is_nadic, is_smooth, to_nadic
-from .maps import MAX_ORBIT_STEPS, PLCircleMap, multiplication_map, orbit, reduce_to_circle
+from .maps import MAX_ORBIT_STEPS, PLCircleMap, _walk, multiplication_map, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
     IntegerLevel,
@@ -157,10 +158,10 @@ class Conjugator:
 
     def inverse_value(self, x) -> Fraction:
         """The source grid point mapped to a vertex x, searching all depths
-        within budget; refuses with NotAVertex otherwise.  Each step of g
-        lowers the depth by one, and its lift's laps past r are the source
-        index's base-n digits.  A point y is cut j when y*W/r is the integer
-        prefix sum cum[j]."""
+        within budget; refuses with NotAVertex otherwise.  Each integer step
+        of g lowers the depth by one, and its lift's laps past r are the
+        source index's base-n digits.  A point y is cut j when y*W/r is the
+        integer prefix sum cum[j]."""
         P = self.partition
         n, p, r = P.base, P.interval_count, P.circumference
         W, cum = P.total_weight, P.prefix_sums
@@ -168,15 +169,16 @@ class Conjugator:
         if not is_nadic(x, n):
             raise NotAVertex(f"{x} is not a base-{n} fraction, so not a vertex",
                              point=x)
-        digits, y = 0, x
+        step = self.map._image
+        digits, yn, yd = 0, x.numerator, x.denominator
         for depth in range(self.max_depth + 1):
             # y < r, so weight < W = cum[p] and cum[j] is defined.
-            weight, rest = divmod(y.numerator * W, y.denominator * r)
+            weight, rest = divmod(yn * W, yd * r)
             if not rest:
                 j = bisect.bisect_left(cum, weight)
                 if cum[j] == weight:
                     return Fraction(r * (p * digits + j), p * n**depth)
-            w, y = divmod(self.map.lift_value(y), r)
+            w, yn, yd = step(yn, yd)
             digits = n * digits + w
         raise NotAVertex(
             f"{x} is not a vertex at any depth up to {self.max_depth}", point=x
@@ -403,14 +405,14 @@ def partition_from_expanding_map(g: PLCircleMap,
     The pullback runs through the inverse branches of the lift of g fixing 0,
     in the integer branch table that ``LevelChain`` and ``vertex_value`` use
     (``markov._inverse_branches``, ``markov._pullback``).  The breakpoint
-    orbits that set K are walked on reduced integer pairs, and the rebuild is
-    the one ``build_expanding_map`` keeps on the partition.
+    orbits that set K go through ``maps._walk`` with a shared memo, and the
+    rebuild is the one ``build_expanding_map`` keeps on the partition.
     """
     _check_depth(max_refinements, "max_refinements")
     r, n = g.circumference, g.degree
     if n < 2:
         raise ValueError("need an expanding map of degree at least 2")
-    if g._image(0, 1)[0]:
+    if g._image(0, 1)[1]:
         raise ValueError("the map must fix 0")
     # A breakpoint lies in some pullback of 0 exactly when its forward orbit
     # lands on 0; otherwise no amount of refinement can cover it.  The walks
@@ -423,21 +425,14 @@ def partition_from_expanding_map(g: PLCircleMap,
         breakpoints.append((b // c, D // c))
     landing = {(0, 1): 1}  # point -> length of its orbit, which ends at 0
     for b in breakpoints:
-        walk, seen, current = [], set(), b
-        while (current not in landing and current not in seen
-               and len(walk) <= MAX_ORBIT_STEPS):
-            seen.add(current)
-            walk.append(current)
-            current = g._image(*current)
-        length = len(walk) + landing.get(current, 0)
-        if length > MAX_ORBIT_STEPS:
-            orbit(g, Fraction(*b))  # raises BudgetExceeded
-        if current not in landing:
+        walk, end = _walk(g, b, MAX_ORBIT_STEPS, landing)
+        if end not in landing:
             raise NotAVertex(
                 f"breakpoint {Fraction(*b)} never reaches the fixed point, so "
                 "pullbacks of 0 cannot place it on a vertex",
                 point=Fraction(*b),
             )
+        length = len(walk) + landing[end]
         landing.update((q, length - i) for i, q in enumerate(walk))
     # b lies in g^-k(0) exactly when g^k(b) = 0, and the pullbacks are
     # nested because 0 is fixed.  A break-free map of degree n >= 3 needs

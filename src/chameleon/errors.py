@@ -185,18 +185,6 @@ class DivergentCycle(RefusalError):
         self.break_values = break_values
 
 
-class SlopeNotPowerOfTwo(RefusalError):
-    """The reconstructed initial slope is not an integral power of two.
-
-    Nothing in the package raises it: an intertwining PL conjugator on
-    dyadic cuts always has power-of-two slopes.  It stays for callers.
-    """
-
-    def __init__(self, message: str, *, slope=None):
-        super().__init__(message)
-        self.slope = slope
-
-
 class ReconstructionMismatch(RefusalError):
     """The pairing conjugator fails to intertwine the map with the model map."""
 

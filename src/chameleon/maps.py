@@ -15,8 +15,10 @@ reduced), so structural equality coincides with equality as functions.
 
 A ``PLCircleMap`` is kept as integers: its boundaries and its lift's values
 at them as numerators over their least common denominator D, and its slopes
-as reduced integer pairs.  ``evaluate`` finds a point's piece with one
-integer bisection, ``compose`` sweeps numerators over a common multiple of
+as reduced integer pairs.  ``_image``, the one integer step, finds a
+point's piece with one bisection and returns the lift there as laps past r
+and a reduced pair; ``evaluate``, ``lift_value`` and the one orbit walker
+``_walk`` read it.  ``compose`` sweeps numerators over a common multiple of
 both maps' denominators and reduces once at the end, and ``invert`` swaps
 the boundary and lift numerators.  The ``Fraction`` tuples ``boundaries``,
 ``slopes`` and ``value_at_first`` are formed on first read.
@@ -266,62 +268,52 @@ class PLCircleMap:
     def piece_count(self) -> int:
         return len(self._bnums)
 
-    def _window(self, x) -> tuple[int, int, int, int]:
-        """(k, i, t, xd) for a real x: x - k*r lies in the window [b0, b0 + r)
-        on piece i, and (x - k*r)*D is t/xd."""
-        x = as_fraction(x)
-        xn, xd = x.numerator, x.denominator
-        lap = self.circumference * self._den
-        t = xn * self._den
-        k = (t // xd - self._bnums[0]) // lap
-        t -= k * lap * xd
-        return k, bisect.bisect_right(self._bnums, t // xd) - 1, t, xd
-
     def lift_value(self, x) -> Fraction:
-        """Value of the lift normalised by F(b0) = value_at_first, at any real x."""
-        k, i, t, xd = self._window(x)
-        sn, sd = self._slope_pairs[i]
-        den = self._den
-        rise = k * self.degree * self.circumference * den
-        return Fraction((self._lnums[i] + rise) * sd * xd + sn * (t - self._bnums[i] * xd),
-                        den * sd * xd)
+        """Value of the lift normalised by F(b0) = value_at_first, at any real
+        x: the step on x mod r, plus d*r for each lap of x past r."""
+        x = as_fraction(x)
+        r, xn, xd = self.circumference, x.numerator, x.denominator
+        laps, yn, yd = self._image(xn, xd)
+        return Fraction((laps + xn // (r * xd) * self.degree) * r * yd + yn, yd)
 
     def evaluate(self, x) -> Fraction:
         """Image of the circle point x, reduced to [0, r)."""
         x = as_fraction(x)
-        return Fraction(*self._image(x.numerator, x.denominator))
+        _, yn, yd = self._image(x.numerator, x.denominator)
+        return Fraction(yn, yd)
 
-    def _image(self, xn: int, xd: int) -> tuple[int, int]:
-        """The image of the point xn/xd (xd > 0) as a reduced pair, in [0, r).
+    def _image(self, xn: int, xd: int) -> tuple[int, int, int]:
+        """The one integer step: for the point xn/xd (xd > 0) reduced to
+        [0, r), the lift's value there as (laps, yn, yd), that is laps*r +
+        yn/yd with the image yn/yd a reduced pair in [0, r).
 
         Reduced into [0, r) and scaled by D, the point is t/xd, and it lies on
         piece i exactly when B_i <= floor(t/xd).  A point below b0 is read on
-        the last piece at x + r, where the lift is d*r higher; reducing mod r
-        drops the difference.
+        the last piece at x + r, where the lift is d*r higher, so its laps are
+        lowered by d.
         """
-        den, bnums = self._den, self._bnums
-        lap = self.circumference * den * xd
+        den, bnums, r = self._den, self._bnums, self.circumference
+        lap = r * den * xd
         t = xn * den % lap
         i = bisect.bisect_right(bnums, t // xd) - 1
+        laps = 0
         if i < 0:
             t += lap
+            laps = -self.degree
         sn, sd = self._slope_pairs[i]
         q = den * sd * xd
-        y = (self._lnums[i] * sd * xd + sn * (t - bnums[i] * xd)) % (self.circumference * q)
+        rise, y = divmod(self._lnums[i] * sd * xd + sn * (t - bnums[i] * xd), r * q)
         common = gcd(y, q)
-        return y // common, q // common
+        return laps + rise, y // common, q // common
 
     def __call__(self, x) -> Fraction:
         return self.evaluate(x)
 
     def lift_piece(self, x) -> AffinePiece:
         """The affine branch of the lift that owns the real point x."""
-        k, i, _, _ = self._window(x)
-        # F(t) = lift[i] + s*(t - b_i) on the window; shifting by k*r adds k*d*r.
-        s = self.slopes[i]
-        intercept = (self._lift[i] - s * self.boundaries[i]
-                     + k * self.circumference * (self.degree - s))
-        return AffinePiece(s, intercept)
+        x = as_fraction(x)
+        s = self.right_slope(x)
+        return AffinePiece(s, self.lift_value(x) - s * x)
 
     def right_slope(self, x) -> Fraction:
         x = as_fraction(x)
@@ -709,28 +701,49 @@ class OrbitResult:
         return self.prefix + self.cycle
 
 
+def _walk(m: PLCircleMap, start: tuple[int, int], max_steps: int,
+          landing: dict) -> tuple[list, tuple[int, int]]:
+    """The forward orbit of the reduced pair ``start`` under m, on reduced
+    pairs: its points up to the first that repeats one of them or is a key
+    of ``landing`` (point -> length of its orbit), and that point.
+
+    Raises BudgetExceeded, with the orbit's first max_steps + 1 points as
+    ``partial``, when the orbit has more than ``max_steps`` points before its
+    first repeat; past a point of ``landing``, it walks on to fill them.
+    """
+    step = m._image
+    seen, points, current = set(), [], start
+    while current not in seen and len(points) <= max_steps:
+        if current in landing and len(points) + landing[current] <= max_steps:
+            break
+        seen.add(current)
+        points.append(current)
+        _, yn, yd = step(*current)
+        current = yn, yd
+    if len(points) > max_steps:
+        raise BudgetExceeded(
+            f"orbit of {format_rational(Fraction(*start))} found no cycle within "
+            f"{max_steps} steps",
+            limit=max_steps,
+            partial=tuple([Fraction(*q) for q in points]),
+        )
+    return points, current
+
+
 def orbit(m: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS) -> OrbitResult:
     """Forward orbit of a circle point until it enters a cycle.
 
-    Raises BudgetExceeded (with the prefix so far attached) if no repeat is
-    seen within ``max_steps`` applications.
+    One ``_walk`` on reduced pairs; the points become ``Fraction``s at the
+    end.  Raises BudgetExceeded (with the prefix so far attached) if no
+    repeat is seen within ``max_steps`` applications.
     """
-    x = reduce_to_circle(as_fraction(x), m.circumference)
-    seen: dict[Fraction, int] = {}
-    points: list[Fraction] = []
-    current = x
-    for _ in range(max_steps + 1):
-        if current in seen:
-            cut = seen[current]
-            return OrbitResult(tuple(points[:cut]), tuple(points[cut:]))
-        seen[current] = len(points)
-        points.append(current)
-        current = m.evaluate(current)
-    raise BudgetExceeded(
-        f"orbit of {format_rational(x)} found no cycle within {max_steps} steps",
-        limit=max_steps,
-        partial=tuple(points),
-    )
+    _check_depth(max_steps, "max_steps")
+    x = as_fraction(x)
+    xd = x.denominator
+    points, end = _walk(m, (x.numerator % (m.circumference * xd), xd), max_steps, {})
+    cut = points.index(end)
+    points = [Fraction(*q) for q in points]
+    return OrbitResult(tuple(points[:cut]), tuple(points[cut:]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,14 @@ query, and ``fraction_recovery`` walks and pulls back on it, where
 ``partition_from_expanding_map`` pulls back through the same branch table
 as ``LevelChain``.
 
+``maps._walk`` walks orbits on reduced integer pairs through the one
+integer step ``PLCircleMap._image``, for ``orbit`` and for recovery, and
+``Conjugator.inverse_value`` steps the same pairs, reading its digits off
+the step's laps; ``fraction_orbit`` is the ``Fraction`` walk ``orbit``
+replaced, one ``evaluate`` per step, and ``lift_inverse`` the inverse
+through a dict keyed by every cut point, walking the oracle map's
+``lift_value``.
+
 ``pl_criterion`` lets the break sums decide and returns the pairing
 interpolant of ``conjugacy._pairing_conjugator`` as the conjugator;
 ``break_sum_rebuild`` is the rebuild from the sums it replaced, which
@@ -46,7 +54,6 @@ from chameleon.errors import (
     NotMarkov,
     ReconstructionMismatch,
     SlopeNotPowerOfN,
-    SlopeNotPowerOfTwo,
 )
 from chameleon.exact import (
     as_fraction,
@@ -55,7 +62,7 @@ from chameleon.exact import (
     power_exponent,
     reduce_to_circle,
 )
-from chameleon.maps import AffinePiece, PLCircleMap, multiplication_map, orbit
+from chameleon.maps import AffinePiece, OrbitResult, PLCircleMap, multiplication_map
 from chameleon.markov import (
     AffineMarkovPartition,
     PartitionLevelTable,
@@ -509,18 +516,65 @@ def fraction_descend(P: AffineMarkovPartition, index: int, depth: int) -> Fracti
     return x + wraps * r
 
 
-def fraction_recovery(g: PLCircleMap, max_refinements: int = 20) -> AffineMarkovPartition:
+def fraction_orbit(m, x, max_steps: int = 4096) -> OrbitResult:
+    """``orbit`` in ``Fraction``s, one ``evaluate`` per step, on a
+    ``PLCircleMap`` or its ``FractionCircleMap`` oracle."""
+    x = reduce_to_circle(as_fraction(x), m.circumference)
+    seen: dict[Fraction, int] = {}
+    points: list[Fraction] = []
+    current = x
+    for _ in range(max_steps + 1):
+        if current in seen:
+            cut = seen[current]
+            return OrbitResult(tuple(points[:cut]), tuple(points[cut:]))
+        seen[current] = len(points)
+        points.append(current)
+        current = m.evaluate(current)
+    raise BudgetExceeded(
+        f"orbit of {format_rational(x)} found no cycle within {max_steps} steps",
+        limit=max_steps,
+        partial=tuple(points),
+    )
+
+
+@lru_cache(maxsize=4)
+def _cuts_and_lift(P: AffineMarkovPartition, g: PLCircleMap):
+    """The cut dict of P and the oracle lift of g, formed once per pair."""
+    return {e: j for j, e in enumerate(eager_endpoints(P))}, FractionCircleMap.of(g).lift_value
+
+
+def lift_inverse(conj, x) -> Fraction:
+    """``Conjugator.inverse_value`` through a dict keyed by every cut point,
+    walking the lift of the oracle copy of the conjugator's map."""
+    P = conj.partition
+    n, p, r = P.base, P.interval_count, P.circumference
+    x = reduce_to_circle(as_fraction(x), r)
+    if not is_nadic(x, n):
+        raise NotAVertex(f"{x} is not a base-{n} fraction, so not a vertex", point=x)
+    cuts, lift = _cuts_and_lift(P, conj.map)
+    digits, y = 0, x
+    for depth in range(conj.max_depth + 1):
+        if y in cuts:
+            return Fraction(r * (p * digits + cuts[y]), p * n**depth)
+        w, y = divmod(lift(y), r)
+        digits = n * digits + w
+    raise NotAVertex(f"{x} is not a vertex at any depth up to {conj.max_depth}",
+                     point=x)
+
+
+def fraction_recovery(g: PLCircleMap, max_refinements: int = 20,
+                      max_steps: int = 4096) -> AffineMarkovPartition:
     """``partition_from_expanding_map`` on ``Fraction``s, run on the oracle
-    copy of g: the landing walk keyed by the points themselves, and the
-    inverse branches x = a*y + b formed as ``Fraction``s before they are put
-    over one denominator."""
+    copy of g: the landing walk keyed by the points themselves, re-walked
+    with ``fraction_orbit`` past the step budget, and the inverse branches
+    x = a*y + b formed as ``Fraction``s before they are put over one
+    denominator."""
     r, n = g.circumference, g.degree
     if n < 2:
         raise ValueError("need an expanding map of degree at least 2")
     target, g = g, FractionCircleMap.of(g)
     if g.evaluate(Fraction(0)) != 0:
         raise ValueError("the map must fix 0")
-    max_steps = 4096
     landing = {Fraction(0): 1}
     for b in g.breakpoints:
         walk, seen, current = [], set(), b
@@ -530,7 +584,7 @@ def fraction_recovery(g: PLCircleMap, max_refinements: int = 20) -> AffineMarkov
             current = g.evaluate(current)
         length = len(walk) + landing.get(current, 0)
         if length > max_steps:
-            orbit(g, b, max_steps=max_steps)
+            fraction_orbit(g, b, max_steps)
         if current not in landing:
             raise NotAVertex(
                 f"breakpoint {b} never reaches the fixed point, so pullbacks "
@@ -611,10 +665,9 @@ def break_sum_rebuild(P: AffineMarkovPartition, g: PLCircleMap) -> CriterionVerd
         (P.cut(c), common - v) for c, v in zip(shallow, walk(shallow))
         if v != common
     )))
-    if assignment.total != 0:
-        raise ReconstructionMismatch(
-            f"break budget sums to {assignment.total}, expected 0"
-        )
+    total = sum(v for _, v in assignment.entries)
+    if total != 0:
+        raise ReconstructionMismatch(f"break budget sums to {total}, expected 0")
     heights = [(x, b) for x, b in assignment.entries if x != 0]
     # Segment j runs between consecutive heights (0 and 1 padding the ends)
     # and carries slope m * 2^(cumulative break above it).
@@ -625,7 +678,7 @@ def break_sum_rebuild(P: AffineMarkovPartition, g: PLCircleMap) -> CriterionVerd
     m = sum((cuts[j + 1] - cuts[j]) * Fraction(2)**(-cumulative[j])
             for j in range(len(cuts) - 1))
     if power_exponent(m, 2) is None:
-        raise SlopeNotPowerOfTwo(f"initial slope solves to {m}", slope=m)
+        raise ReconstructionMismatch(f"initial slope solves to {m}, not a power of 2")
     boundaries = [Fraction(0)]
     slopes = []
     for j in range(len(cuts) - 1):

@@ -225,6 +225,13 @@ class TestIteratedSums:
         with pytest.raises(BudgetExceeded):
             iterated_break_sum(g, F(1, 2**30), max_steps=3)
 
+    @pytest.mark.parametrize("walk", (orbit, iterated_break_sum))
+    @pytest.mark.parametrize("max_steps", (-1, -2, True, 1.5, "3"))
+    def test_malformed_step_budgets_are_rejected(self, walk, max_steps):
+        """Checked before the walk and before the off-lattice shortcut."""
+        with pytest.raises(ValueError, match="max_steps must be a non-negative integer"):
+            walk(multiplication_map(2), F(1, 3), max_steps=max_steps)
+
     def test_divergent_fixed_point(self, examples):
         _, g, _ = examples["4"]
         record = load_example("4")
@@ -727,7 +734,7 @@ class TestPLCriterion:
             assert verdict.is_pl
             assert verdict.conjugator == h
             assert power_exponent(verdict.initial_slope, 2) is not None
-            assert verdict.assignment.total == 0
+            assert sum(v for _, v in verdict.assignment.entries) == 0
             payload = verdict.as_dict()
             assert payload["outcome"] == "pl"
             json.dumps(payload)

@@ -4,7 +4,9 @@
 path the two must store the same data, answer every query alike and agree
 on equality; the inputs cover roundtrip draws, subdivision conjugates in
 bases 2-5, non-dyadic denominators, circumferences 1-4 and degrees 1-5,
-break-free maps and maps whose first boundary is past 0.
+break-free maps and maps whose first boundary is past 0.  The one integer
+step, the orbit walker and ``orbit`` on it are compared with the oracle's
+``Fraction`` orbit, one ``evaluate`` per step, refusals included.
 """
 
 from __future__ import annotations
@@ -16,14 +18,22 @@ from math import lcm
 
 import pytest
 
-from level_oracles import FractionCircleMap, eager_endpoints, eager_slopes
+from level_oracles import FractionCircleMap, eager_endpoints, eager_slopes, fraction_orbit
 
 from chameleon.breaks import pl_criterion
 from chameleon.conjugacy import partition_from_expanding_map
+from chameleon.errors import RefusalError
 from chameleon.interpolate import random_dyadic_homeomorphism
-from chameleon.maps import PLCircleMap, map_from_dict, map_to_dict, multiplication_map
-from chameleon.markov import build_expanding_map
-from conftest import circle_map_data, subdivision_conjugate
+from chameleon.maps import (
+    PLCircleMap,
+    _walk,
+    map_from_dict,
+    map_to_dict,
+    multiplication_map,
+    orbit,
+)
+from chameleon.markov import LevelChain, build_expanding_map
+from conftest import circle_map_data, corpus_partition, subdivision_conjugate
 
 F = Fraction
 
@@ -227,6 +237,91 @@ class TestAlgebra:
             agree(g, og)
             agree(h.compose(multiplication_map(n)), oh.compose(onu))
             agree(h.invert(), oh.invert())
+
+
+# The five examples, factory seeds, subdivision conjugates in bases 2-5 and
+# the p = n - 1 partitions, whose branches cover the circle more than once.
+STEP_CORPUS = ("example 1", "example 2", "example 3", "example 4", "example 5",
+               "factory 0", "factory 5", "factory 9", "subdivision 2 1",
+               "subdivision 3 1", "subdivision 4 0", "subdivision 5 0",
+               "uniform 2", "uniform 3", "uniform 4", "uniform 5")
+
+
+def outcome(compute):
+    """A result, or a refusal as (type, message, fields)."""
+    try:
+        return compute()
+    except RefusalError as err:
+        return type(err), str(err), vars(err)
+
+
+def pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+class TestOneStep:
+    """``PLCircleMap._image``, the walker ``maps._walk`` and ``orbit`` on
+    the partition maps of the corpus, against the oracle's lift and its
+    ``Fraction`` orbit."""
+
+    @pytest.fixture(params=STEP_CORPUS)
+    def walked(self, request, examples, random_conjugate_factory):
+        """(g, its oracle, points): vertices of levels 0 and 1, at most 60
+        of each, the breakpoints and three points off every lattice."""
+        partition = corpus_partition(request.param, examples, random_conjugate_factory)
+        g, _ = build_expanding_map(partition)
+        chain, r = LevelChain(partition), g.circumference
+        points = set(g.breakpoints) | {r * F(1, 3), r * F(2, 7), r * F(5, 11)}
+        for depth in (0, 1):
+            values = chain.table(depth).values
+            points |= set(values[::-(-len(values) // 60)])
+        return g, FractionCircleMap.of(g), sorted(points)
+
+    def test_the_step_reads_the_lift(self, walked):
+        """The step's laps and image are the oracle lift's quotient and
+        remainder by r, and the lift and its branches agree at any lap."""
+        g, o, points = walked
+        r = g.circumference
+        agree(g, o)
+        for x in points:
+            laps, y = divmod(o.lift_value(x), r)
+            assert g._image(*pair(x)) == (laps, *pair(y))
+            for k in (-2, 1, 3):
+                assert g.lift_value(x + k * r) == o.lift_value(x + k * r)
+                assert g.lift_piece(x + k * r) == o.lift_piece(x + k * r)
+
+    def test_orbits_match_the_fraction_walk(self, walked):
+        """Every budget from none to past the orbit's length, and the
+        walker's points and end on the default budget."""
+        g, o, points = walked
+        for x in points:
+            expected = fraction_orbit(o, x)
+            assert orbit(g, x) == expected
+            walk, end = _walk(g, pair(x), 4096, {})
+            assert [F(*q) for q in walk] == list(expected.points)
+            assert F(*end) == expected.cycle[0]
+            for steps in range(len(expected.points) + 1):
+                assert (outcome(lambda: orbit(g, x, steps))
+                        == outcome(lambda: fraction_orbit(o, x, steps)))
+
+    def test_the_walker_stops_at_the_memo(self, walked):
+        """With a memo of the prefix from point k on, the walk ends at point
+        k within budget; past the budget it refuses as the plain orbit does,
+        with the same partial."""
+        g, o, points = walked
+        for x in points:
+            expected = fraction_orbit(o, x)
+            size = len(expected.points)
+            for k in range(len(expected.prefix)):
+                landing = {pair(q): size - j
+                           for j, q in enumerate(expected.prefix) if j >= k}
+                for steps in range(size + 1):
+                    got = outcome(lambda: _walk(g, pair(x), steps, landing))
+                    if steps < size:
+                        assert got == outcome(lambda: fraction_orbit(o, x, steps))
+                    else:
+                        assert got == ([pair(q) for q in expected.points[:k]],
+                                       pair(expected.points[k]))
 
 
 def test_recovery_and_criterion_neither_evaluate_nor_validate(circle_map_calls):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_partition, rescaled_level_partition, subdivision_conjugate
 import level_oracles
-from level_oracles import fraction_recovery, law_witness
+from level_oracles import fraction_recovery, law_witness, lift_inverse
 
 from chameleon import conjugacy, markov
 from chameleon.breaks import find_break_sum_discrepancy, orbit_merge_violations
@@ -204,27 +204,11 @@ class TestInverseValue:
         with pytest.raises((NotAVertex, BudgetExceeded)):
             conj.inverse_value(F(1, 2**9))
 
-    @staticmethod
-    def inverse_oracle(conj, x):
-        """The inverse through a dict keyed by every cut point."""
-        P = conj.partition
-        n, p, r = P.base, P.interval_count, P.circumference
-        x = reduce_to_circle(F(x), r)
-        if not is_nadic(x, n):
-            raise NotAVertex(f"{x} is not a base-{n} fraction, so not a vertex", point=x)
-        cuts = {e: j for j, e in enumerate(P.endpoints)}
-        digits, y = 0, x
-        for depth in range(conj.max_depth + 1):
-            if y in cuts:
-                return F(r * (p * digits + cuts[y]), p * n**depth)
-            w, y = divmod(conj.map.lift_value(y), r)
-            digits = n * digits + w
-        raise NotAVertex(f"{x} is not a vertex at any depth up to {conj.max_depth}",
-                         point=x)
-
-    @pytest.mark.parametrize("key", ["example 1", "example 2", "example 3", "uniform 2",
-                                     "uniform 3", "weights 2 3,3", "factory 4",
-                                     "subdivision 3 1"])
+    @pytest.mark.parametrize("key", ["example 1", "example 2", "example 3", "example 4",
+                                     "example 5", "uniform 2", "uniform 3", "uniform 4",
+                                     "uniform 5", "weights 2 3,3", "factory 0", "factory 4",
+                                     "subdivision 2 1", "subdivision 3 1",
+                                     "subdivision 4 0", "subdivision 5 0"])
     def test_bisecting_the_prefix_sums_matches_the_cut_dict(
             self, key, examples, random_conjugate_factory):
         """Every vertex to one level past the budget, and for each budget
@@ -247,11 +231,11 @@ class TestInverseValue:
             assert outcome(Conjugator.inverse_value, conj, refused) == (
                 f"{refused} is not a vertex at any depth up to {max_depth}", refused)
             assert (outcome(Conjugator.inverse_value, conj, refused)
-                    == outcome(self.inverse_oracle, conj, refused))
+                    == outcome(lift_inverse, conj, refused))
         conj = Conjugator(partition, max_depth=top)
         for x in chain.table(top + 1).values + (F(1, 3), F(1, 2**(top + 9))):
             assert (outcome(Conjugator.inverse_value, conj, x)
-                    == outcome(self.inverse_oracle, conj, x))
+                    == outcome(lift_inverse, conj, x))
 
 
 class TestEnclosure:
@@ -992,6 +976,17 @@ class TestRecoveryAgainstFractionWalk:
         refused = [self.agree(g, budget) for budget in range(6)]
         assert any(isinstance(got, tuple) and got[0] is BudgetExceeded for got in refused)
 
+    @pytest.mark.parametrize("key", ("factory 0", "factory 5", "example 1", "example 2",
+                                     "subdivision 3 1"))
+    def test_step_budgets(self, key, examples, random_conjugate_factory, monkeypatch):
+        """Each step budget up to past the longest breakpoint orbit, with the
+        walks' shared memo putting some orbits over budget part way."""
+        g, _ = build_expanding_map(corpus_partition(key, examples, random_conjugate_factory))
+        for steps in range(max(len(orbit(g, b).points) for b in g.breakpoints) + 1):
+            monkeypatch.setattr(conjugacy, "MAX_ORBIT_STEPS", steps)
+            got = recovery_outcome(lambda: partition_from_expanding_map(g))
+            assert got == recovery_outcome(lambda: fraction_recovery(g, max_steps=steps))
+
     def test_a_rebuild_that_misses_the_map(self, examples, monkeypatch):
         """The rebuild gate refuses with NotMarkov in both, here by a build
         that returns some other map."""
@@ -1010,6 +1005,18 @@ class TestPartitionRecovery:
     def test_examples_recover_exactly(self, examples, example_id):
         partition, g, _ = examples[example_id]
         assert partition_from_expanding_map(g) == partition
+
+    def test_the_step_budget_is_the_refusal_limit(self, random_conjugate_factory,
+                                                  monkeypatch):
+        """Breakpoint orbits longer than the step budget refuse with that
+        budget as the limit, not as a breakpoint off the zero orbit."""
+        g = random_conjugate_factory(5)[1]
+        assert max(len(orbit(g, b).points) for b in g.breakpoints) > 3
+        monkeypatch.setattr(conjugacy, "MAX_ORBIT_STEPS", 3)
+        with pytest.raises(BudgetExceeded) as info:
+            partition_from_expanding_map(g)
+        assert info.value.limit == 3
+        assert len(info.value.partial) == 4
 
     @pytest.mark.parametrize("example_id", ("2", "5"))
     def test_breaks_off_the_zero_orbit_are_refused(self, examples, example_id):
