@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 
+def _check_int(value, name: str) -> None:
+    """Refuse a bool or a non-``int`` with ValueError; BadLength checks ranges."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _log2_length(count: int) -> int:
     """Return ``log2(count)`` for a power-of-two ``count``, else refuse."""
     if count < 1 or count & (count - 1):
@@ -65,7 +71,9 @@ def prefix_blocks(values: Sequence[int], bits: int) -> Tuple[PrefixBlock, ...]:
     The sequence length must be a power of two, and ``bits`` must lie in
     ``[1, log2(len(values))]``; block ``p`` covers positions
     ``[p * size, (p + 1) * size)`` where ``size = len(values) >> bits``.
+    A ``bits`` that is a bool or not an ``int`` is refused with ValueError.
     """
+    _check_int(bits, "prefix width")
     seq = tuple(values)
     depth = _log2_length(len(seq))
     if not 1 <= bits <= depth:
@@ -240,8 +248,10 @@ def exhaustive_scan(length: int, alphabet: Sequence[int] = (-1, 0, 1)) -> ScanRe
     ``violations`` is empty exactly when the laws hold over the whole
     shape.  Refuses with ``BudgetExceeded`` (``limit`` set to
     ``MAX_SCAN_CANDIDATES``) when ``len(alphabet) ** (length // 2)``
-    exceeds that budget.
+    exceeds that budget, with ``BadLength`` when ``length`` is not a power
+    of two, and with ValueError when it is a bool or not an ``int``.
     """
+    _check_int(length, "scan length")
     symbols = tuple(alphabet)
     if not symbols or len(set(symbols)) != len(symbols):
         raise ValueError("alphabet symbols must be nonempty and distinct")

@@ -371,9 +371,7 @@ class Discrepancy:
 
 
 def find_break_sum_discrepancy(P: AffineMarkovPartition, left: VertexRef,
-                               right: VertexRef, pad: int = 1,
-                               table: Optional[BreakSumTable] = None
-                               ) -> Optional[Discrepancy]:
+                               right: VertexRef, pad: int = 1) -> Optional[Discrepancy]:
     """Search the stable-level offsets for a break-sum disagreement between
     the deep vertices just after ``left`` and those just after ``right``.
 
@@ -381,13 +379,12 @@ def find_break_sum_discrepancy(P: AffineMarkovPartition, left: VertexRef,
     stable level; ``pad`` pushes the right-hand comparison deeper.  Returns
     the smallest offset where the two sums differ, with the left-hand vertex
     value as evidence, or None when every offset agrees (in particular
-    whenever the table is constant).
+    whenever ``break_sum_table(P)``, which the search reads, is constant).
     """
     if P.base != 2:
         raise ValueError("the discrepancy search is specific to base 2")
     _check_depth(pad, "pad", 1)
-    if table is None:
-        table = break_sum_table(P)
+    table = break_sum_table(P)
     K = table.stable_level
     left, right = reduce_ref(left, 2), reduce_ref(right, 2)
     for ref in (left, right):

@@ -35,8 +35,8 @@ from .exact import _check_depth, as_fraction, is_nadic, is_smooth, to_nadic
 from .maps import MAX_ORBIT_STEPS, PLCircleMap, _walk, multiplication_map, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
-    IntegerLevel,
     LevelChain,
+    PartitionLevelTable,
     _descend,
     _inverse_branches,
     _pullback,
@@ -129,6 +129,8 @@ class Conjugator:
 
     def source_vertex(self, index: int, depth: int) -> Fraction:
         """The source-circle grid point paired with vertex (index, depth)."""
+        _check_depth(index, "source index")
+        _check_depth(depth, "source depth")
         P = self.partition
         return Fraction(P.circumference * index, P.interval_count * P.base**depth)
 
@@ -215,13 +217,13 @@ class Conjugator:
         """Verify the vertex permutation law g(T[N]) = T[n*N mod M] on the
         level-``depth`` table.  Level t is every n^(depth-t)-th vertex of it,
         so the law holds on every shallower level too."""
-        witness = _law_witness(self.chain.level(depth), self.map)
+        witness = _law_witness(self.chain.table(depth), self.map)
         if witness is None:
             return ConjugacyCheck(True, depth, None)
         return ConjugacyCheck(False, depth, (depth, *witness))
 
 
-def _law_witness(level: IntegerLevel, g: PLCircleMap) -> Optional[tuple]:
+def _law_witness(level: PartitionLevelTable, g: PLCircleMap) -> Optional[tuple]:
     """The first vertex N with g(T[N]) != T[n*N mod M], as (N, want, got).
 
     One pointer over the lift's pieces walks the sorted level.  On a piece
@@ -354,7 +356,7 @@ def nadic_image_status(conj: Conjugator, depth: int) -> ImageStatusReport:
     n, p, r = P.base, P.interval_count, P.circumference
     # Past the vertex budget, refuses before deriving a level.  Vertex N of
     # level t is vertex N * n**(depth - t) of this deepest level.
-    level = conj.chain.level(depth)
+    level = conj.chain.table(depth)
     X, D = level.numerators, level.denominator
     # x / D is base-n exactly when the part of D coprime to n divides x.
     coprime, common = D, gcd(D, n)

@@ -8,6 +8,9 @@ the pullback of level k through the affine inverse branches of a lift fixing
 0, kept in one integer table (``_inverse_branches``, swept by ``_pullback``):
 ``LevelChain`` refines through the partition's own branches, ``vertex_value``
 descends them one per level, and recovery pulls 0 back through a map's.
+Each level is one ``PartitionLevelTable`` of integer numerators over one
+denominator, read through ``LevelChain.table``; its ``Fraction`` values are
+formed only when read.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -287,54 +291,42 @@ def _partition_branches(P: AffineMarkovPartition) -> tuple:
     return P._branches
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionLevelTable:
-    """Sorted vertex values of one refinement depth, anchored at 0."""
+    """Sorted vertex values of one refinement depth as integer numerators
+    over one denominator: vertex N is ``numerators[N] / denominator``, on
+    the circle of circumference r.  The ``Fraction`` tuple ``values`` is
+    formed on first read; equality and hashing read it, with the level and
+    the circumference."""
 
     level: int
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     circumference: int
 
-    def __post_init__(self):
-        if not self.values or self.values[0] != 0:
-            raise ValueError("a level table must start at 0")
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        D = self.denominator
+        return tuple([Fraction(x, D) for x in self.numerators])
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.numerators)
 
     def interval_length(self, i: int) -> Fraction:
-        vals, m = self.values, len(self.values)
+        X, m, D = self.numerators, len(self.numerators), self.denominator
         i %= m
         if i == m - 1:
-            return self.circumference + vals[0] - vals[i]
-        return vals[i + 1] - vals[i]
+            return Fraction(self.circumference * D + X[0] - X[i], D)
+        return Fraction(X[i + 1] - X[i], D)
 
+    def _key(self):
+        return (self.level, self.values, self.circumference)
 
-class IntegerLevel:
-    """One level of the vertex tower as integer numerators over one
-    denominator: vertex N is ``numerators[N] / denominator``, and the
-    circumference r is ``r * denominator``.  The ``Fraction`` table is
-    materialised on first request."""
+    def __eq__(self, other):
+        return isinstance(other, PartitionLevelTable) and self._key() == other._key()
 
-    __slots__ = ("level", "numerators", "denominator", "circumference", "_table")
-
-    def __init__(self, level: int, numerators: tuple[int, ...], denominator: int,
-                 circumference: int) -> None:
-        self.level = level
-        self.numerators = numerators
-        self.denominator = denominator
-        self.circumference = circumference
-        self._table = None
-
-    def table(self) -> PartitionLevelTable:
-        if self._table is None:
-            D = self.denominator
-            self._table = PartitionLevelTable(
-                level=self.level,
-                values=tuple(Fraction(x, D) for x in self.numerators),
-                circumference=self.circumference,
-            )
-        return self._table
+    def __hash__(self):
+        return hash(self._key())
 
 
 MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
@@ -343,24 +335,26 @@ MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
 class LevelChain:
     """Lazily refined tower of vertex tables for one partition.
 
-    Only whole-level enumerations need it; single vertices come from the
-    inverse-branch descent of ``vertex_value``.  Each level is the pullback
-    of the last through the partition's own inverse branches, one per cut
-    interval, so no map is consulted and the vertex law holds by
+    Only whole-level reads need it, through ``table``; single vertices come
+    from the inverse-branch descent of ``vertex_value``.  Each level is the
+    pullback of the last through the partition's own inverse branches, one
+    per cut interval, so no map is consulted and the vertex law holds by
     construction.  With A the lcm of the reduced slope numerators and W the
     total weight, level k is kept as integer numerators over W*A^k.  Levels
-    past the vertex budget are refused before anything is refined.
+    past the vertex budget are refused before anything is refined.  The
+    lock guards refinement only: two threads that race to read a table's
+    ``values`` first build equal tuples.
     """
 
     def __init__(self, partition: AffineMarkovPartition):
         self.partition = partition
         r = partition.circumference
         numerators = tuple([r * c for c in partition.prefix_sums[:-1]])
-        self._tables = [IntegerLevel(0, numerators, partition.total_weight, r)]
+        self._tables = [PartitionLevelTable(0, numerators, partition.total_weight, r)]
         self._lock = threading.Lock()
 
-    def level(self, depth: int) -> IntegerLevel:
-        """The level-``depth`` vertices as integers over one denominator."""
+    def table(self, depth: int) -> PartitionLevelTable:
+        """The level-``depth`` vertex table, refined on first request."""
         _check_depth(depth, "refinement depth")
         P, limit = self.partition, MAX_TABLE_VERTICES
         p, n, r, W = P.interval_count, P.base, P.circumference, P.total_weight
@@ -379,14 +373,9 @@ class LevelChain:
             while len(tables) <= depth:
                 last, branches = tables[-1], _partition_branches(P)
                 fresh = _pullback(last.numerators, last.denominator // W, W, r, n, branches)
-                tables.append(IntegerLevel(last.level + 1, tuple(fresh),
-                                           last.denominator * branches[0], r))
+                tables.append(PartitionLevelTable(last.level + 1, tuple(fresh),
+                                                  last.denominator * branches[0], r))
             return tables[depth]
-
-    def table(self, depth: int) -> PartitionLevelTable:
-        level = self.level(depth)
-        with self._lock:
-            return level.table()
 
 
 @dataclass(frozen=True)

@@ -425,16 +425,20 @@ def build_by_interval(P: AffineMarkovPartition) -> tuple[PLCircleMap, tuple]:
     return g, breaks
 
 
+def level_table(level: int, values, circumference: int) -> PartitionLevelTable:
+    """The level table of the given ``Fraction`` vertex values, as numerators
+    over their least common denominator."""
+    D = lcm(*(v.denominator for v in values))
+    return PartitionLevelTable(level, tuple([v.numerator * (D // v.denominator)
+                                             for v in values]), D, circumference)
+
+
 def standard_level_table(n: int, k: int) -> PartitionLevelTable:
     """Vertices i/n^k of the uniform base-n grid on the circle [0, n-1)."""
     if n < 2 or k < 0:
         raise ValueError("need base >= 2 and level >= 0")
     count = (n - 1) * n**k
-    return PartitionLevelTable(
-        level=k,
-        values=tuple(Fraction((n - 1) * i, count) for i in range(count)),
-        circumference=n - 1,
-    )
+    return level_table(k, [Fraction((n - 1) * i, count) for i in range(count)], n - 1)
 
 
 def derive(table: PartitionLevelTable, g: PLCircleMap) -> PartitionLevelTable:
@@ -486,8 +490,7 @@ def refine(table: PartitionLevelTable, n: int) -> PartitionLevelTable:
         for l in range(n - 1):
             acc += block[l]
             new_values.append(vals[N] + length * acc / span)
-    return PartitionLevelTable(level=table.level + 1, values=tuple(new_values),
-                               circumference=table.circumference)
+    return level_table(table.level + 1, new_values, table.circumference)
 
 
 @lru_cache(maxsize=64)

@@ -315,8 +315,7 @@ def test_criterion_09(examples, random_conjugate_factory):
             for right in anchors:
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
-                        partition, left, right, pad=pad,
-                        table=table)
+                        partition, left, right, pad=pad)
                     if hit is None or hit.left_value == hit.right_value:
                         missed += 1
         expect(bad, missed == 0,
@@ -330,8 +329,7 @@ def test_criterion_09(examples, random_conjugate_factory):
             for left in (VertexRef(1, K2 + 1), VertexRef(max(1, 2**K2 - 1), max(K2, 1))):
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
-                        partition2, left, left, pad=pad,
-                        table=table2)
+                        partition2, left, left, pad=pad)
                     expect(bad, hit is None,
                            f"spurious discrepancy on round trip {seed}")
 

@@ -65,6 +65,10 @@ class TestPrefixBlocks:
             prefix_blocks((1, 2, 3, 4), 0)
         with pytest.raises(BadLength):
             prefix_blocks((1, 2, 3, 4), 3)
+        # A bool is not taken for 1, nor 1.0 for 1.
+        for bits in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="prefix width must be an integer"):
+                prefix_blocks((1, 2, 3, 4), bits)
 
     def test_length_must_be_a_power_of_two(self):
         with pytest.raises(BadLength):
@@ -149,8 +153,13 @@ class TestExhaustiveScan:
             exhaustive_scan(4, (1, 1))
 
     def test_length_validation(self):
-        with pytest.raises(BadLength):
-            exhaustive_scan(6)
+        for length in (6, 0, -4):
+            with pytest.raises(BadLength):
+                exhaustive_scan(length)
+        # A bool is not taken for 1, nor 2.0 for 2.
+        for length in (True, False, 2.0, "2"):
+            with pytest.raises(ValueError, match="scan length must be an integer"):
+                exhaustive_scan(length, (0, 1))
 
     def test_tallies_match_brute_force(self):
         """Independently recount constants and violations for one shape."""

@@ -813,8 +813,7 @@ class TestDiscrepancySearch:
             for right in anchors:
                 for pad in (1, 2):
                     hit = find_break_sum_discrepancy(
-                        partition, left, right, pad=pad,
-                        table=table)
+                        partition, left, right, pad=pad)
                     assert hit is not None
                     assert 1 <= hit.offset < 2**K
                     assert hit.left_value != hit.right_value
@@ -850,8 +849,7 @@ class TestDiscrepancySearch:
             right = VertexRef(1, K + 1)
             for pad in (1, 2):
                 assert find_break_sum_discrepancy(
-                    partition, left, right, pad=pad,
-                    table=table) is None
+                    partition, left, right, pad=pad) is None
 
     def test_uniform_partition_is_trivially_clean(self):
         partition = AffineMarkovPartition(2, [1, 1])

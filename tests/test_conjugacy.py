@@ -43,8 +43,8 @@ from chameleon.golden import example_ids, load_example
 from chameleon.interpolate import random_dyadic_homeomorphism
 from chameleon.markov import (
     AffineMarkovPartition,
-    IntegerLevel,
     LevelChain,
+    PartitionLevelTable,
     VertexRef,
     build_expanding_map,
     interval_length_at,
@@ -112,7 +112,7 @@ class TestEvaluate:
         partition, g, _ = examples["1"]
         conj = Conjugator(partition)
         call = {
-            "level": lambda: conj.chain.level(depth),
+            "level": lambda: conj.chain.table(depth),
             "check": lambda: conj.check(depth),
             "image status": lambda: nadic_image_status(conj, depth),
             "interval length": lambda: interval_length_at(partition, depth, 0),
@@ -123,14 +123,17 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("entry", ("recovery refinements", "periodic power",
                                        "iterate power", "discrepancy pad",
-                                       "vertex index", "vertex level"))
+                                       "vertex index", "vertex level",
+                                       "source index", "source depth"))
     @pytest.mark.parametrize("value", ["below", True, 1.5, 2.0, "1"])
     def test_malformed_counts_are_rejected(self, examples, entry, value):
-        """Refinement budgets and vertex fields are ints of at least 0, powers
-        and pads ints of at least 1; anything else is an input error, not a
-        refusal, a leaked TypeError or a bool taken for 1."""
+        """Refinement budgets, vertex fields and source grid coordinates are
+        ints of at least 0, powers and pads ints of at least 1; anything else
+        is an input error, not a refusal, a leaked TypeError or a bool taken
+        for 1."""
         partition, g, _ = examples["1"]
-        least = {"recovery refinements": 0, "vertex index": 0, "vertex level": 0}.get(entry, 1)
+        least = {"recovery refinements": 0, "vertex index": 0, "vertex level": 0,
+                 "source index": 0, "source depth": 0}.get(entry, 1)
         if value == "below":
             value = least - 1
         anchor = VertexRef(1, 4)
@@ -142,6 +145,8 @@ class TestEvaluate:
                 partition, anchor, anchor, pad=value),
             "vertex index": lambda: VertexRef(value, 1),
             "vertex level": lambda: VertexRef(1, value),
+            "source index": lambda: Conjugator(partition).source_vertex(value, 1),
+            "source depth": lambda: Conjugator(partition).source_vertex(3, value),
         }[entry]
         kind = "a non-negative integer" if least == 0 else "an integer of at least 1"
         with pytest.raises(ValueError, match=f"must be {kind}, got {value!r}"):
@@ -278,11 +283,11 @@ class TestEnclosure:
 
 
 def tampered(level, index, value):
-    """A copy of an integer level with one numerator replaced."""
+    """A copy of a level table with one numerator replaced."""
     numerators = list(level.numerators)
     numerators[index] = value
-    return IntegerLevel(level.level, tuple(numerators), level.denominator,
-                        level.circumference)
+    return PartitionLevelTable(level.level, tuple(numerators), level.denominator,
+                               level.circumference)
 
 
 class TestConjugacyLaw:
@@ -305,7 +310,7 @@ class TestConjugacyLaw:
         partition, _, _ = examples["2"]
         conj = Conjugator(partition)
         chain = conj.chain
-        level = chain.level(2)
+        level = chain.table(2)
         X = level.numerators
         with chain._lock:
             chain._tables[2] = tampered(level, 5, (X[5] + X[6]) // 2)
@@ -340,7 +345,7 @@ class TestConjugacyLaw:
         assert len(calls) == 0  # refining consults no map
         assert conj.check(5).passed
         assert len(calls) == 0  # the sweep reads the lift's pieces directly
-        level = conj.chain.level(5)
+        level = conj.chain.table(5)
         with conj.chain._lock:
             conj.chain._tables[5] = tampered(level, 7, level.numerators[7] + 1)
         outcome = conj.check(5)
@@ -374,7 +379,7 @@ class TestLawSweep:
         for depth in range(5):
             if depth and p * n**depth > 2048:
                 break
-            assert conjugacy._law_witness(conj.chain.level(depth), conj.map) is None
+            assert conjugacy._law_witness(conj.chain.table(depth), conj.map) is None
             assert law_witness(conj.chain.table(depth).values, conj.map) is None
 
     @pytest.mark.parametrize("key", SWEEP_CORPUS)
@@ -385,7 +390,7 @@ class TestLawSweep:
         g = conj.map
         n, p = partition.base, partition.interval_count
         depth = max(d for d in range(4) if p * n**d <= 2048 or d == 0)
-        level = conj.chain.level(depth)
+        level = conj.chain.table(depth)
         X, D = level.numerators, level.denominator
         M, lap = len(X), partition.circumference * D
         cases = [
@@ -559,10 +564,10 @@ class TestVertexBudget:
                 for depth in range(30):
                     if p * n**depth > limit:
                         with pytest.raises(BudgetExceeded) as info:
-                            chain.level(depth)
+                            chain.table(depth)
                         assert info.value.limit == limit
                     else:
-                        assert len(chain.level(depth).numerators) == p * n**depth
+                        assert len(chain.table(depth).numerators) == p * n**depth
 
     def test_single_queries_ignore_the_budget(self, examples, monkeypatch):
         partition, _, _ = examples["1"]

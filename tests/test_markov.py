@@ -155,7 +155,7 @@ class TestConstruction:
             if example_id not in REFUSAL_IDS:
                 build_expanding_map(fresh)
                 assert partition_from_expanding_map(g) == partition
-            LevelChain(fresh).level(2)
+            LevelChain(fresh).table(2)
             level = (fresh.power_exponent or 0) + 2
             for index in range(0, fresh.interval_count * fresh.base**2, 3):
                 vertex_value(fresh, VertexRef(index, level))
@@ -434,7 +434,9 @@ class TestIntegerRefinement:
             if p * n**depth > 4096:
                 break
             table = refine(table, n)
+            # Over another denominator, yet equal and hashed alike.
             assert chain.table(depth) == table
+            assert hash(chain.table(depth)) == hash(table)
 
 
 class TestIntegerDescent:
