@@ -9,11 +9,12 @@ partition's conjugator is piecewise linear.  The sums only decide: a PL
 conjugator breaks only over cut points, so it is the pairing interpolant
 that ``conjugacy`` builds, sending grid point i/p to cut i.
 
-Two walks give the sums.  ``break_sum_table``, ``pl_criterion`` and
-``find_break_sum_discrepancy`` sum on integers, in one pass over the cut
-indices of a power-form partition (``_cut_walker``).  ``iterated_break_sum``,
-``coboundary_check`` and ``orbit_merge_violations`` walk each point's
-``orbit`` once and add ``break_value`` along it, in Fractions.
+``break_sum_table`` builds the table in one pass over the cut indices of a
+power-form partition (``_cut_walker``), and ``pl_criterion`` and
+``find_break_sum_discrepancy`` read it; ``orbit_merge_violations`` walks each
+vertex's ``orbit``.  Both take the break at a cut from the build's report.
+``iterated_break_sum`` and ``coboundary_check`` take any circle map, so they
+walk ``orbit`` and add ``break_value`` along it, in Fractions.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .markov import (
     AffineMarkovPartition,
     VertexRef,
     build_expanding_map,
+    _check_vertex_budget,
     reduce_ref,
     stable_level,
     vertex_value,
@@ -46,19 +48,19 @@ from .markov import (
 
 
 def _cut_walker(P: AffineMarkovPartition):
-    """The map g of P, its stable level, and break sums at cut points of P
-    named by index.
+    """The stable level of P, and break sums at cut points of P named by
+    index; ``break_sum_table`` is its one caller.
 
-    Building g refuses first, then ``stable_level``: the walker is for power
-    form only, p = (n-1)*n^m.  g sends cut c to cut n*c mod p, and its break
-    at cut c is the build's break value there (0 off the break cuts).  That
-    step raises the n-adic valuation of c by one until it reaches m, and
-    the multiples of n^m are its fixed points, so the orbit of c ends within
-    m steps at cut n^m*(c mod (n-1)).  One pass from valuation m - 1 down
-    therefore sums every cut, and a request refuses at its first cut whose
-    fixed point carries a break.
+    Building the map g of P refuses first, then ``stable_level``: the walker
+    is for power form only, p = (n-1)*n^m.  g sends cut c to cut n*c mod p,
+    and its break at cut c is the build's break value there (0 off the break
+    cuts).  That step raises the n-adic valuation of c by one until it
+    reaches m, and the multiples of n^m are its fixed points, so the orbit
+    of c ends within m steps at cut n^m*(c mod (n-1)).  One pass from
+    valuation m - 1 down therefore sums every cut, and a request refuses at
+    its first cut whose fixed point carries a break.
     """
-    g, report = build_expanding_map(P)
+    _, report = build_expanding_map(P)
     K = stable_level(P)
     n, p, m = P.base, P.interval_count, P.power_exponent
     weights = [0] * p
@@ -83,11 +85,10 @@ def _cut_walker(P: AffineMarkovPartition):
                 )
         return [sums[c] for c in cuts]
 
-    return g, K, walk
+    return K, walk
 
 
-def iterated_break_sum(g: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS,
-                       base: Optional[int] = None) -> int:
+def iterated_break_sum(g: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS) -> int:
     """Total break value collected along the forward orbit of x.
 
     One ``orbit`` walk of x gives it: the sum is over the walk's prefix, and
@@ -98,7 +99,7 @@ def iterated_break_sum(g: PLCircleMap, x, max_steps: int = MAX_ORBIT_STEPS,
     sum is 0 without walking the orbit.
     """
     _check_depth(max_steps, "max_steps")
-    n = base if base is not None else g.circumference + 1
+    n = g.circumference + 1
     x = reduce_to_circle(as_fraction(x), g.circumference)
     # Under classify items 3-5 an off-lattice orbit never meets a break.
     if not is_nadic(x, n) and all(classify(g, n).items[2:]):
@@ -136,9 +137,6 @@ class BreakSumTable:
     stable_level: int
     entries: tuple[tuple[int, int], ...]
 
-    def _modulus(self) -> int:
-        return (self.base - 1) * self.base**self.stable_level
-
     def value_at(self, ref: VertexRef) -> int:
         reduced = reduce_ref(ref, self.base)
         if self.stable_level == 0:
@@ -149,7 +147,7 @@ class BreakSumTable:
                 f"stable level {self.stable_level}; the reduction law does "
                 f"not reach it"
             )
-        idx = reduced.index % self._modulus()
+        idx = reduced.index % ((self.base - 1) * self.base**self.stable_level)
         # Entries run over the non-multiples of the base in order.
         pos = idx - idx // self.base - 1
         if 0 <= pos < len(self.entries) and self.entries[pos][0] == idx:
@@ -171,9 +169,6 @@ class BreakSumTable:
             raise ValueError("table is not constant")
         return seq.pop()
 
-    def as_records(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((i, self.stable_level, v) for i, v in self.entries)
-
 
 def break_sum_table(P: AffineMarkovPartition) -> BreakSumTable:
     """Break sums at all newest stable-level vertices of the partition.
@@ -183,15 +178,11 @@ def break_sum_table(P: AffineMarkovPartition) -> BreakSumTable:
     finite sums at every one of those vertices; divergence refusals
     propagate.
     """
-    _, K, walk = _cut_walker(P)
-    if K == 0:
-        return BreakSumTable(base=P.base, stable_level=K, entries=())
-    return _table(P, K, walk)
-
-
-def _table(P: AffineMarkovPartition, K: int, walk) -> BreakSumTable:
+    K, walk = _cut_walker(P)
     # K is at most the power exponent, so vertex (i, K) is cut i * n^(m-K).
     n, stride = P.base, P.base**(P.power_exponent - K)
+    if K == 0:
+        return BreakSumTable(base=n, stable_level=K, entries=())
     indices = [i for i in range((n - 1) * n**K) if i % n]
     sums = walk([i * stride for i in indices])
     # Built from a list: see the note on hot tuples in ``maps``.
@@ -230,22 +221,26 @@ def orbit_merge_violations(g: PLCircleMap, P: AffineMarkovPartition,
     An empty result certifies the merge identity on the tested range only;
     whether a violation is reported at the first meeting or any later one is
     immaterial, since after the merge both orbits collect identical terms.
-    Each vertex is walked once with ``orbit``.  ``g`` must be the map
-    ``build_expanding_map(P)`` returns; any other map is refused with
-    ValueError.
+    Each vertex is walked once with ``orbit``, adding the build's break
+    values.  ``g`` must be the map ``build_expanding_map(P)`` returns; any
+    other map is refused with ValueError, and a level past the vertex budget
+    with BudgetExceeded before any vertex is read.
     """
     _check_depth(level_bound, "level bound")
-    if build_expanding_map(P)[0] != g:
+    built, report = build_expanding_map(P)
+    if built != g:
         raise ValueError("g must be the map build_expanding_map(P) returns")
     n = P.base
     # Level 0 holds the cut points, or the n - 1 grid points in power form.
     count = P.interval_count if P.power_exponent is None else n - 1
+    _check_vertex_budget(count, n, level_bound)
     points = [vertex_value(P, VertexRef(i, level_bound))
               for i in range(count * n**level_bound)]
     walks = [orbit(g, x).points for x in points]
     firsts = [{q: j for j, q in enumerate(w)} for w in walks]
     # totals[k][i] is the break total over walks[k][:i].
-    totals = [list(accumulate((break_value(g, q, n) for q in w[:-1]), initial=0))
+    breaks = dict(report.break_values)
+    totals = [list(accumulate((breaks.get(q, 0) for q in w[:-1]), initial=0))
               for w in walks]
     violations = []
     for a, b in combinations(range(len(points)), 2):
@@ -332,10 +327,9 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     if P.base != 2:
         raise ValueError("the piecewise-linearity decision is specific to base 2")
     K = stable_level(P)
-    built, _, walk = _cut_walker(P)
-    if built != g:
+    if build_expanding_map(P)[0] != g:
         raise ValueError("g must be the map build_expanding_map(P) returns")
-    table = _table(P, K, walk)
+    table = break_sum_table(P)
     if not table.is_constant:
         seq = table.entries
         first_idx, first_val = seq[0]

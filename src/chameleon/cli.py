@@ -28,7 +28,7 @@ from .conjugacy import (
     partition_from_expanding_map,
 )
 from .errors import ChameleonError, ParseError, RefusalError
-from .exact import format_rational, is_nadic, parse_rational
+from .exact import format_rational, is_nadic, parse_integer, parse_rational
 from .golden import example_ids, run_example
 from .interpolate import random_dyadic_homeomorphism
 from .maps import multiplication_map
@@ -117,8 +117,8 @@ def _cmd_sigma(args, partition: AffineMarkovPartition) -> Tuple[RunReport, int]:
     _echo_partition(report, args.file, partition)
     table = break_sum_table(partition)
     report.outputs["stable level"] = str(table.stable_level)
-    report.outputs["indices"] = " ".join(str(i) for i, _, _ in table.as_records())
-    report.outputs["values"] = " ".join(str(v) for _, _, v in table.as_records())
+    report.outputs["indices"] = " ".join(str(i) for i, _ in table.entries)
+    report.outputs["values"] = " ".join(str(v) for v in table.sequence())
     report.verdicts["constant"] = _yesno(table.is_constant)
     return report, 0
 
@@ -271,12 +271,17 @@ def _handle_roundtrip(args) -> Tuple[RunReport, int]:
     return report, 0 if not failures else 2
 
 
+def _integer(text: str) -> int:
+    """argparse type for --count and --depth: an integer in decimal digits."""
+    value = parse_integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return value
+
+
 def _depth(text: str) -> int:
     """argparse type for --depth: a non-negative integer."""
-    try:
-        depth = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid depth: {text!r}") from None
+    depth = _integer(text)
     if depth < 0:
         raise argparse.ArgumentTypeError(f"depth must be non-negative, got {depth}")
     return depth
@@ -334,7 +339,7 @@ def _build_parser() -> _Parser:
     )
     roundtrip.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     roundtrip.add_argument(
-        "--count", type=int, default=10, help="number of trials (default 10)"
+        "--count", type=_integer, default=10, help="number of trials (default 10)"
     )
     roundtrip.set_defaults(handler=_handle_roundtrip)
     return parser

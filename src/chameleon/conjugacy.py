@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ReconstructionMismatch,
 )
-from .exact import _check_depth, as_fraction, is_nadic, is_smooth, to_nadic
+from .exact import _check_depth, as_fraction, is_nadic, is_smooth, parse_integer, to_nadic
 from .maps import MAX_ORBIT_STEPS, PLCircleMap, _walk, multiplication_map, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
@@ -54,11 +54,12 @@ def default_memo_depth() -> int:
     raw = os.environ.get("CHAMELEON_MAX_DEPTH")
     if raw is None:
         return DEFAULT_MEMO_DEPTH
-    if not raw.strip().isdecimal():
+    depth = parse_integer(raw)
+    if depth is None or depth < 0:
         raise ParseError(
             f"CHAMELEON_MAX_DEPTH must be a non-negative integer, got {raw!r}"
         )
-    return int(raw)
+    return depth
 
 
 @dataclass(frozen=True)

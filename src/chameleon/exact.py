@@ -49,6 +49,14 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def parse_integer(text: str) -> int | None:
+    """The integer ``text`` writes in decimal digits, with an optional minus
+    and surrounding whitespace; None otherwise (``int`` reads more: a plus
+    sign, underscores)."""
+    text = text.strip()
+    return int(text) if text.removeprefix("-").isdecimal() else None
+
+
 def format_rational(q) -> str:
     """Render a Fraction as 'a/b', or 'a' when the denominator is one."""
     q = as_fraction(q)

@@ -120,11 +120,6 @@ def _sigma_outcome(partition) -> str:
             f"refusal divergent_fixed_point point={_fmt(err.point)} "
             f"break={_fmt(err.break_value)}"
         )
-    except DivergentCycle as err:
-        return (
-            f"refusal divergent_cycle cycle={_fmt_seq(err.cycle)} "
-            f"breaks={_fmt_seq(err.break_values)}"
-        )
     return (
         f"level={table.stable_level} values={_fmt_seq(table.sequence())} "
         f"constant={_fmt(table.is_constant)}"
@@ -138,8 +133,6 @@ def _criterion_outcome(g, partition) -> str:
         return "not_power_form"
     except DivergentFixedPoint:
         return "divergent_fixed_point"
-    except DivergentCycle:
-        return "divergent_cycle"
     return "pl" if verdict.is_pl else "not_pl"
 
 

@@ -23,7 +23,6 @@ from .maps import (
     PLCircleMap,
     PLLineMap,
     classify,
-    coset_shift,
     reduce_to_circle,
 )
 
@@ -79,6 +78,14 @@ def _segment_pieces(n: int, a: Fraction, b: Fraction,
     return out
 
 
+def _chain_pieces(n: int, xs, ys) -> list[tuple[Fraction, Fraction]]:
+    """Piece data mapping each [xs[i], xs[i+1]] onto [ys[i], ys[i+1]], in order."""
+    pieces: list[tuple[Fraction, Fraction]] = []
+    for a, b, c, d in zip(xs, xs[1:], ys, ys[1:]):
+        pieces.extend(_segment_pieces(n, a, b, c, d))
+    return pieces
+
+
 def interpolate_line(n: int, xs, ys) -> PLLineMap:
     """Increasing line map through (xs[i], ys[i]) that is the identity far out.
 
@@ -100,13 +107,7 @@ def interpolate_line(n: int, xs, ys) -> PLLineMap:
     pad = n - 1
     lo = min(xs[0], ys[0]) - pad
     hi = max(xs[-1], ys[-1]) + pad
-    chain_x = (lo,) + xs + (hi,)
-    chain_y = (lo,) + ys + (hi,)
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for i in range(len(chain_x) - 1):
-        pieces.extend(
-            _segment_pieces(n, chain_x[i], chain_x[i + 1], chain_y[i], chain_y[i + 1])
-        )
+    pieces = _chain_pieces(n, (lo,) + xs + (hi,), (lo,) + ys + (hi,))
     breakpoints = [start for start, _ in pieces] + [hi]
     slopes = [Fraction(1)] + [s for _, s in pieces] + [Fraction(1)]
     return PLLineMap.from_profile(tuple(breakpoints), tuple(slopes), lo, lo)
@@ -129,9 +130,10 @@ def match_on_interval(n: int, f: PLLineMap, a, b) -> PLLineMap:
     report = classify(f, n)
     if not (report.items[2] and report.items[3] and report.items[4]):
         raise ValueError("map must have power-of-n slopes and base-n breaks and lattice image")
-    if coset_shift(f, n) != 0:
+    # Items 1-5 hold, so classify has computed the shift.
+    if report.coset_shift != 0:
         raise NonzeroCosetShift(
-            f"map shifts digit classes by {coset_shift(f, n)}, cannot match with bounded support"
+            f"map shifts digit classes by {report.coset_shift}, cannot match with bounded support"
         )
     pad = n - 1
     wide_a = pad * (a // pad)
@@ -216,8 +218,8 @@ def interpolate_circle(n: int, circumference: int, points, targets) -> PLCircleM
     # interpolable and the result shifts classes by zero).
     gaps = [pts[(i + 1) % k] - pts[i] for i in range(k - 1)] + [pts[0] + r - pts[-1]]
     eps = min(gaps) / 4
-    seg_sources: list[tuple[Fraction, Fraction]] = []  # (a_i, b_i) around pts[i]
-    seg_targets: list[tuple[Fraction, Fraction]] = []  # (c_i, d_i) in target interior
+    xs: list[Fraction] = []  # a_i, b_i around pts[i]
+    ys: list[Fraction] = []  # c_i, d_i in the target interior
     for i in range(k):
         a = _nadic_in_open(pts[i] - eps, pts[i], n)
         b = _nadic_in_open(pts[i], pts[i] + eps, n)
@@ -225,21 +227,13 @@ def interpolate_circle(n: int, circumference: int, points, targets) -> PLCircleM
         mid = (lo + hi) / 2
         c = _nadic_in_open(lo, mid, n, cls=digit_class(a, n))
         d = _nadic_in_open(mid, hi, n, cls=digit_class(b, n))
-        seg_sources.append((a, b))
-        seg_targets.append((c, d))
+        xs += (a, b)
+        ys += (c, d)
 
     # Chain: bracket segments alternate with gap segments, closing up after
     # one full turn on each side.
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for i in range(k):
-        a, b = seg_sources[i]
-        c, d = seg_targets[i]
-        pieces.extend(_segment_pieces(n, a, b, c, d))
-        next_a = seg_sources[(i + 1) % k][0] + (r if i == k - 1 else 0)
-        next_c = seg_targets[(i + 1) % k][0] + (r if i == k - 1 else 0)
-        pieces.extend(_segment_pieces(n, b, next_a, d, next_c))
-
-    return _circle_from_lifted_pieces(r, 1, pieces, seg_targets[0][0])
+    pieces = _chain_pieces(n, xs + [xs[0] + r], ys + [ys[0] + r])
+    return _circle_from_lifted_pieces(r, 1, pieces, ys[0])
 
 
 def _circle_from_lifted_pieces(r: int, degree: int,
@@ -276,9 +270,5 @@ def random_dyadic_homeomorphism(rng: random.Random, max_breaks: int = 6,
     ys = sorted(rng.sample(range(1, scale), count))
     chain_x = [Fraction(0)] + [Fraction(v, scale) for v in xs] + [Fraction(1)]
     chain_y = [Fraction(0)] + [Fraction(v, scale) for v in ys] + [Fraction(1)]
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for i in range(len(chain_x) - 1):
-        pieces.extend(
-            _segment_pieces(2, chain_x[i], chain_x[i + 1], chain_y[i], chain_y[i + 1])
-        )
+    pieces = _chain_pieces(2, chain_x, chain_y)
     return _circle_from_lifted_pieces(1, 1, pieces, Fraction(0))

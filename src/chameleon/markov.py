@@ -329,7 +329,22 @@ class PartitionLevelTable:
         return hash(self._key())
 
 
-MAX_TABLE_VERTICES = 2**20  # largest level table LevelChain derives
+MAX_TABLE_VERTICES = 2**20  # largest vertex level read whole
+
+
+def _check_vertex_budget(count: int, n: int, depth: int) -> None:
+    """Refuse a level of count*n**depth vertices past MAX_TABLE_VERTICES.
+    One of at least 2**(2*b) vertices, b the budget's bit length, is refused
+    without forming its count: that takes seconds at depth 10**9, and has
+    too many digits to print from depth ~14,300 in base 2.  As
+    n**depth >= 2**(depth * (n.bit_length() - 1)), the depth tells."""
+    limit = MAX_TABLE_VERTICES
+    deep = depth * (n.bit_length() - 1) >= 2 * limit.bit_length()
+    if deep or count * n**depth > limit:
+        total = f"{count}*{n}**{depth}" if deep else count * n**depth
+        raise BudgetExceeded(
+            f"level {depth} has {total} vertices, budget is {limit}", limit=limit,
+        )
 
 
 class LevelChain:
@@ -356,18 +371,9 @@ class LevelChain:
     def table(self, depth: int) -> PartitionLevelTable:
         """The level-``depth`` vertex table, refined on first request."""
         _check_depth(depth, "refinement depth")
-        P, limit = self.partition, MAX_TABLE_VERTICES
-        p, n, r, W = P.interval_count, P.base, P.circumference, P.total_weight
-        # A level of at least 2**(2*b) vertices, b the budget's bit length, is
-        # refused without forming its count: that takes seconds at depth 10**9,
-        # and has too many digits to print from depth ~14,300 in base 2.  As
-        # n**depth >= 2**(depth * (n.bit_length() - 1)), the depth tells.
-        deep = depth * (n.bit_length() - 1) >= 2 * limit.bit_length()
-        if deep or p * n**depth > limit:
-            count = f"{p}*{n}**{depth}" if deep else p * n**depth
-            raise BudgetExceeded(
-                f"level {depth} has {count} vertices, budget is {limit}", limit=limit,
-            )
+        P = self.partition
+        n, r, W = P.base, P.circumference, P.total_weight
+        _check_vertex_budget(P.interval_count, n, depth)
         with self._lock:
             tables = self._tables
             while len(tables) <= depth:

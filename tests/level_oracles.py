@@ -45,7 +45,12 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Optional
 
-from chameleon.breaks import BreakAssignment, CriterionVerdict, _cut_walker, _table
+from chameleon.breaks import (
+    BreakAssignment,
+    CriterionVerdict,
+    _cut_walker,
+    break_sum_table,
+)
 from chameleon.errors import (
     BudgetExceeded,
     EndpointNotNAdic,
@@ -654,10 +659,10 @@ def break_sum_rebuild(P: AffineMarkovPartition, g: PLCircleMap) -> CriterionVerd
     verified to intertwine doubling with g.
     """
     K = stable_level(P)
-    built, _, walk = _cut_walker(P)
-    if P.base != 2 or built != g:
+    if P.base != 2 or build_expanding_map(P)[0] != g:
         raise ValueError("the rebuild is for base 2 and the partition's own map")
-    table = _table(P, K, walk)
+    table = break_sum_table(P)
+    _, walk = _cut_walker(P)
     if not table.is_constant:
         raise ValueError("the rebuild needs a constant table")
     common = table.constant_value()

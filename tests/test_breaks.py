@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -281,7 +282,7 @@ class TestSharedWalk:
         """Compare at every point; return the refusal types seen."""
         kinds = set()
         for x in points:
-            got = outcome(lambda: iterated_break_sum(g, x, max_steps, base=n))
+            got = outcome(lambda: iterated_break_sum(g, x, max_steps))
             assert got == outcome(lambda: iterated_sum_oracle(g, x, n, max_steps))
             if isinstance(got, tuple):
                 kinds.add(got[0])
@@ -365,7 +366,7 @@ class TestIndexWalk:
                 kinds.add(got[0])
                 continue
             cuts = range(partition.interval_count)
-            _, K, walk = _cut_walker(partition)
+            K, walk = _cut_walker(partition)
             assert K == stable_level(partition)
             for c in cuts:
                 assert (outcome(lambda: walk([c]))
@@ -431,7 +432,7 @@ class TestOnePassSums:
     def compare(partition):
         g, _ = build_expanding_map(partition)
         n, p = partition.base, partition.interval_count
-        _, _, walk = _cut_walker(partition)
+        _, walk = _cut_walker(partition)
         # The Fraction walk once per cut: a list of cuts refuses as its
         # first refusing cut does, and gives the values in order otherwise.
         singles = [outcome(lambda: iterated_sum_oracle(g, partition.cut(c), n))
@@ -545,8 +546,8 @@ class TestBreakSumTable:
     def test_records_shape(self, examples):
         partition, g, _ = examples["1"]
         table = break_sum_table(partition)
-        for index, level, value in table.as_records():
-            assert level == table.stable_level
+        level = table.stable_level
+        for index, value in table.entries:
             assert index % 2 == 1
             assert table.value_at(VertexRef(index, level)) == value
 
@@ -672,6 +673,57 @@ class TestOrbitMerge:
         partition, g, _ = examples[example_id]
         with pytest.raises(ValueError):
             orbit_merge_violations(g, partition, -1)
+
+    def test_breaks_come_from_the_build(self, examples, random_conjugate_factory,
+                                        monkeypatch):
+        """The scan reads the build's break values, never ``break_value``,
+        and still matches the pair scan, which bisects the slopes."""
+        cases = [(g, partition, 4) for partition, g, _ in examples.values()]
+        cases += [(g, partition, 3) for _, g, partition in
+                  map(random_conjugate_factory, (20, 21))]
+        expected = [merge_violations_oracle(g, partition, level)
+                    for g, partition, level in cases]
+
+        def refuse(*args):
+            raise AssertionError("break_value called")
+
+        monkeypatch.setattr("chameleon.breaks.break_value", refuse)
+        got = [orbit_merge_violations(g, partition, level)
+               for g, partition, level in cases]
+        assert got == expected
+        assert any(got)
+
+    @pytest.mark.parametrize("example_id, level, count", (
+        ("1", 21, "2097152"),
+        ("2", 18, "1572864"),
+        ("1", 10**9, f"1*2**{10**9}"),
+    ))
+    def test_levels_past_the_vertex_budget_are_refused(
+            self, examples, monkeypatch, example_id, level, count):
+        """Refused before any vertex is read, without forming a very deep
+        level's count."""
+        partition, g, _ = examples[example_id]
+
+        def refuse(*args):
+            raise AssertionError("vertex read")
+
+        monkeypatch.setattr("chameleon.breaks.vertex_value", refuse)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as err:
+            orbit_merge_violations(g, partition, level)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.limit == 2**20
+        assert str(err.value) == f"level {level} has {count} vertices, budget is 1048576"
+
+    def test_the_budget_bounds_the_level_read(self, examples, monkeypatch):
+        """At a budget of 16 vertices, example 1's level 4 (16 grid points)
+        is scanned and level 5 is refused."""
+        partition, g, _ = examples["1"]
+        monkeypatch.setattr("chameleon.markov.MAX_TABLE_VERTICES", 16)
+        assert (orbit_merge_violations(g, partition, 4)
+                == merge_violations_oracle(g, partition, 4))
+        with pytest.raises(BudgetExceeded, match="level 5 has 32 vertices, budget is 16"):
+            orbit_merge_violations(g, partition, 5)
 
 
 class TestPLCriterion:

@@ -189,13 +189,15 @@ class TestConjugatorEval:
 
     def test_malformed_environment_depth_is_an_input_error(self, capsys, partition_file,
                                                            monkeypatch):
-        monkeypatch.setenv("CHAMELEON_MAX_DEPTH", "not a number")
-        code, out, err = run_cli(
-            capsys, "partition", "conjugator-eval", partition_file("2"),
-            "--point", "1/384")
-        assert code == 1
-        assert "error: CHAMELEON_MAX_DEPTH" in err
-        assert out == ""
+        for raw in ("not a number", "1_0", "+2", "-1", "2 3", ""):
+            monkeypatch.setenv("CHAMELEON_MAX_DEPTH", raw)
+            code, out, err = run_cli(
+                capsys, "partition", "conjugator-eval", partition_file("2"),
+                "--point", "1/384")
+            assert code == 1
+            assert err == ("error: CHAMELEON_MAX_DEPTH must be a non-negative "
+                           f"integer, got {raw!r}\n")
+            assert out == ""
 
     def test_depth_flag_overrides_the_environment(self, capsys, partition_file,
                                                   monkeypatch):
@@ -213,6 +215,14 @@ class TestConjugatorEval:
         assert code == 1
         assert "error: argument --depth: depth must be non-negative" in err
         assert out == ""
+        # The depth is read as decimal digits, as CHAMELEON_MAX_DEPTH is.
+        for text in ("1_0", "+2", "2 3", "2.0"):
+            code, out, err = run_cli(
+                capsys, "partition", "conjugator-eval", partition_file("2"),
+                "--point", "1/6", f"--depth={text}")
+            assert code == 1
+            assert f"error: argument --depth: invalid integer: {text!r}" in err
+            assert out == ""
 
 
 class TestPLCriterionCommand:
@@ -298,6 +308,13 @@ class TestDyadicStatus:
             "--depth", "-2")
         assert code == 1
         assert "error: argument --depth: depth must be non-negative" in err
+        for text in ("1_0", "+2"):
+            code, out, err = run_cli(
+                capsys, "partition", "dyadic-status", partition_file("2"),
+                "--depth", text)
+            assert code == 1
+            assert f"error: argument --depth: invalid integer: {text!r}" in err
+            assert out == ""
         assert out == ""
 
     def test_uniform_partition_has_no_counterexample(self, capsys, tmp_path):
@@ -408,6 +425,15 @@ class TestRoundtrip:
         code, _, err = run_cli(capsys, "roundtrip", "--count", "0")
         assert code == 1
         assert "error:" in err
+        code, _, err = run_cli(capsys, "roundtrip", "--count", "-3")
+        assert code == 1
+        assert "error: --count must be at least 1" in err
+        # The count is read as decimal digits, as CHAMELEON_MAX_DEPTH is.
+        for text in ("1_0", "+2", "2.0"):
+            code, out, err = run_cli(capsys, "roundtrip", f"--count={text}")
+            assert code == 1
+            assert f"error: argument --count: invalid integer: {text!r}" in err
+            assert out == ""
 
 
 class TestArgumentErrors:
