@@ -68,11 +68,8 @@ from .errors import (
     SlopeNotPowerOfN,
 )
 from .exact import (
-    CirclePoint,
     NAdic,
-    PointClass,
     as_fraction,
-    classify_point,
     digit_class,
     format_rational,
     is_nadic,
@@ -116,7 +113,6 @@ from .markov import (
     build_expanding_map,
     fixed_point_class,
     interval_length_at,
-    natural_level,
     natural_slope,
     reduce_ref,
     stable_level,

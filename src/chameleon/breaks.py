@@ -161,14 +161,6 @@ class BreakSumTable:
     def is_constant(self) -> bool:
         return len(set(self.sequence())) <= 1
 
-    def constant_value(self) -> int:
-        seq = set(self.sequence())
-        if not seq:
-            return 0
-        if len(seq) > 1:
-            raise ValueError("table is not constant")
-        return seq.pop()
-
 
 def break_sum_table(P: AffineMarkovPartition) -> BreakSumTable:
     """Break sums at all newest stable-level vertices of the partition.

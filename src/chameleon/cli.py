@@ -34,16 +34,6 @@ from .interpolate import random_dyadic_homeomorphism
 from .maps import multiplication_map
 from .markov import AffineMarkovPartition, build_expanding_map
 
-SUBACTIONS = (
-    "validate",
-    "sigma",
-    "conjugator-eval",
-    "equal-pairs",
-    "pl-criterion",
-    "dyadic-status",
-)
-
-
 @dataclass
 class RunReport:
     """Deterministic run record: inputs echoed, outputs, verdicts."""
@@ -272,7 +262,8 @@ def _handle_roundtrip(args) -> Tuple[RunReport, int]:
 
 
 def _integer(text: str) -> int:
-    """argparse type for --count and --depth: an integer in decimal digits."""
+    """argparse type for --seed, --count and --depth: an integer in decimal
+    digits."""
     value = parse_integer(text)
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
@@ -307,7 +298,7 @@ def _build_parser() -> _Parser:
     partition = commands.add_parser(
         "partition", help="analyse one partition file"
     )
-    partition.add_argument("subaction", choices=SUBACTIONS)
+    partition.add_argument("subaction", choices=_PARTITION_HANDLERS)
     partition.add_argument("file", help='JSON file {"base": n, "lengths": [...]}')
     partition.add_argument(
         "--depth",
@@ -337,7 +328,7 @@ def _build_parser() -> _Parser:
     roundtrip = commands.add_parser(
         "roundtrip", help="recover random conjugators from their expanding maps"
     )
-    roundtrip.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    roundtrip.add_argument("--seed", type=_integer, default=0, help="RNG seed (default 0)")
     roundtrip.add_argument(
         "--count", type=_integer, default=10, help="number of trials (default 10)"
     )

@@ -22,7 +22,23 @@ class ParseError(ChameleonError, ValueError):
 
 
 class RefusalError(ChameleonError):
-    """The computation is well-posed to ask for but has no certified answer."""
+    """The computation is well-posed to ask for but has no certified answer.
+
+    ``fields`` names the structured values a refusal carries: each is set from
+    the keyword of that name, or to None when the keyword is absent.
+    """
+
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, message: str, **values):
+        undeclared = sorted(set(values) - set(self.fields))
+        if undeclared:
+            raise TypeError(
+                f"{type(self).__name__} has no field {', '.join(undeclared)}"
+            )
+        super().__init__(message)
+        for name in self.fields:
+            setattr(self, name, values.get(name))
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +62,7 @@ class BudgetExceeded(RefusalError):
     partial result when one makes sense (an orbit prefix, an enclosure).
     """
 
-    def __init__(self, message: str, *, limit: int | None = None, partial=None):
-        super().__init__(message)
-        self.limit = limit
-        self.partial = partial
+    fields = ("limit", "partial")
 
 
 # ---------------------------------------------------------------------------
@@ -87,27 +100,19 @@ class SlopeNotPowerOfN(RefusalError):
     ``index`` is the offending interval, ``slope`` the bad ratio.
     """
 
-    def __init__(self, message: str, *, index: int | None = None, slope=None):
-        super().__init__(message)
-        self.index = index
-        self.slope = slope
+    fields = ("index", "slope")
 
 
 class EndpointNotNAdic(RefusalError):
     """A partition endpoint falls outside the base-n lattice."""
 
-    def __init__(self, message: str, *, index: int | None = None, value=None):
-        super().__init__(message)
-        self.index = index
-        self.value = value
+    fields = ("index", "value")
 
 
 class NotMarkov(RefusalError):
     """A map fails the vertex-to-vertex law required to refine a level table."""
 
-    def __init__(self, message: str, *, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    fields = ("index",)
 
 
 class NotPowerForm(RefusalError):
@@ -117,10 +122,7 @@ class NotPowerForm(RefusalError):
 class ClassMismatch(RefusalError):
     """Two vertices lie over different fixed-point classes."""
 
-    def __init__(self, message: str, *, left=None, right=None):
-        super().__init__(message)
-        self.left = left
-        self.right = right
+    fields = ("left", "right")
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +136,7 @@ class FixedPointsNotVertices(RefusalError):
 class NotAVertex(RefusalError):
     """The queried point is not a vertex at any cached table level."""
 
-    def __init__(self, message: str, *, point=None):
-        super().__init__(message)
-        self.point = point
+    fields = ("point",)
 
 
 class OddCount(RefusalError):
@@ -150,18 +150,14 @@ class NotPL(RefusalError):
     vertices with different iterated break sums).
     """
 
-    def __init__(self, message: str, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    fields = ("witness",)
 
 
 class NeutralBranch(RefusalError):
     """A periodic-point query hit an interval fixed pointwise (slope one,
     zero shift), so the solution set is not finite."""
 
-    def __init__(self, message: str, *, interval=None):
-        super().__init__(message)
-        self.interval = interval
+    fields = ("interval",)
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +166,13 @@ class NeutralBranch(RefusalError):
 class DivergentFixedPoint(RefusalError):
     """The forward orbit ends at a fixed point carrying a nonzero break."""
 
-    def __init__(self, message: str, *, point=None, break_value: int | None = None):
-        super().__init__(message)
-        self.point = point
-        self.break_value = break_value
+    fields = ("point", "break_value")
 
 
 class DivergentCycle(RefusalError):
     """The forward orbit enters a cycle carrying nonzero breaks."""
 
-    def __init__(self, message: str, *, cycle=None, break_values=None):
-        super().__init__(message)
-        self.cycle = cycle
-        self.break_values = break_values
+    fields = ("cycle", "break_values")
 
 
 class ReconstructionMismatch(RefusalError):

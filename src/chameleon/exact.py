@@ -39,14 +39,16 @@ def _check_depth(value, name: str, least: int = 0) -> None:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' with optional sign; reject anything else."""
-    if not isinstance(text, str):
-        raise ParseError(f"not a rational literal: {text!r}")
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational literal: {text!r}") from exc
-    return value
+    """Parse 'a' or 'a/b' in decimal digits, with an optional leading minus,
+    surrounding whitespace and a nonzero b; reject anything else (``Fraction``
+    reads more: decimal points, exponents, underscores, a plus sign)."""
+    if isinstance(text, str):
+        num, slash, den = text.strip().partition("/")
+        if num.removeprefix("-").isdecimal() and (
+            not slash or den.isdecimal() and int(den) != 0
+        ):
+            return Fraction(int(num), int(den) if slash else 1)
+    raise ParseError(f"not a rational literal: {text!r}")
 
 
 def parse_integer(text: str) -> int | None:
@@ -189,51 +191,6 @@ def digit_class(q, n: int) -> int:
     if n == 2:
         return 0
     return nad.mantissa % (n - 1)
-
-
-@dataclass(frozen=True)
-class PointClass:
-    """Where a rational sits relative to the base-n lattice."""
-
-    base: int
-    is_integer: bool
-    is_nadic: bool
-    nadic: NAdic | None
-    digit_class: int | None
-
-    @property
-    def in_zero_class(self) -> bool | None:
-        if self.digit_class is None:
-            return None
-        return self.digit_class == 0
-
-
-def classify_point(q, n: int) -> PointClass:
-    """Report lattice membership and digit class of a rational point."""
-    q = as_fraction(q)
-    nad = to_nadic(q, n)
-    cls = None if nad is None else (0 if n == 2 else nad.mantissa % (n - 1))
-    return PointClass(
-        base=n,
-        is_integer=q.denominator == 1,
-        is_nadic=nad is not None,
-        nadic=nad,
-        digit_class=cls,
-    )
-
-
-@dataclass(frozen=True)
-class CirclePoint:
-    """A point of the circle of integer circumference r, reduced to [0, r)."""
-
-    value: Fraction
-    circumference: int
-
-    def __post_init__(self):
-        if self.circumference < 1:
-            raise ValueError("circumference must be a positive integer")
-        if not (0 <= self.value < self.circumference):
-            raise ValueError("circle point must be reduced to [0, r)")
 
 
 def reduce_to_circle(q, r: int) -> Fraction:

@@ -220,21 +220,6 @@ class PLCircleMap:
         return cls(circumference, 1, (ZERO,), (ONE,),
                    reduce_to_circle(as_fraction(amount), circumference))
 
-    @classmethod
-    def from_pairs(cls, circumference, degree, boundary_slope_pairs, value_at_first_boundary):
-        """Build from unsorted cyclic (boundary, slope) data.
-
-        Pairs are sorted by boundary; ``value_at_first_boundary`` must be the
-        value at the smallest boundary after sorting.
-        """
-        pairs = sorted(
-            (reduce_to_circle(as_fraction(b), circumference), as_fraction(s))
-            for b, s in boundary_slope_pairs
-        )
-        bs = tuple(b for b, _ in pairs)
-        ss = tuple(s for _, s in pairs)
-        return cls(circumference, degree, bs, ss, value_at_first_boundary)
-
     # -- the Fraction data, formed on first read --------------------------------
 
     @property
@@ -308,12 +293,6 @@ class PLCircleMap:
 
     def __call__(self, x) -> Fraction:
         return self.evaluate(x)
-
-    def lift_piece(self, x) -> AffinePiece:
-        """The affine branch of the lift that owns the real point x."""
-        x = as_fraction(x)
-        s = self.right_slope(x)
-        return AffinePiece(s, self.lift_value(x) - s * x)
 
     def right_slope(self, x) -> Fraction:
         x = as_fraction(x)

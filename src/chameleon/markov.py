@@ -114,9 +114,6 @@ class AffineMarkovPartition:
     def is_power_form(self) -> bool:
         return self.power_exponent is not None
 
-    def interval_length(self, i: int) -> Fraction:
-        return self.unit * self.lengths[i % self.interval_count]
-
     def break_indices(self) -> tuple[int, ...]:
         """The cuts where the slope changes, computed once at construction."""
         return self._break_indices
@@ -406,11 +403,6 @@ def reduce_ref(ref: VertexRef, n: int) -> VertexRef:
     if i == ref.index and k == ref.level:
         return ref
     return VertexRef(i, k)
-
-
-def natural_level(ref: VertexRef, n: int) -> int:
-    """The first level at which this vertex appears."""
-    return reduce_ref(ref, n).level
 
 
 def fixed_point_class(ref: VertexRef, n: int) -> int:

@@ -175,21 +175,6 @@ class FractionCircleMap:
         return cls(circumference, 1, (ZERO,), (ONE,),
                    reduce_to_circle(as_fraction(amount), circumference))
 
-    @classmethod
-    def from_pairs(cls, circumference, degree, boundary_slope_pairs, value_at_first_boundary):
-        """Build from unsorted cyclic (boundary, slope) data.
-
-        Pairs are sorted by boundary; ``value_at_first_boundary`` must be the
-        value at the smallest boundary after sorting.
-        """
-        pairs = sorted(
-            (reduce_to_circle(as_fraction(b), circumference), as_fraction(s))
-            for b, s in boundary_slope_pairs
-        )
-        bs = tuple(b for b, _ in pairs)
-        ss = tuple(s for _, s in pairs)
-        return cls(circumference, degree, bs, ss, value_at_first_boundary)
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -665,7 +650,7 @@ def break_sum_rebuild(P: AffineMarkovPartition, g: PLCircleMap) -> CriterionVerd
     _, walk = _cut_walker(P)
     if not table.is_constant:
         raise ValueError("the rebuild needs a constant table")
-    common = table.constant_value()
+    common = table.sequence()[0] if table.entries else 0
     # The shallow vertices (i, K) with i even, as cuts.
     m = P.power_exponent
     shallow = range(0, 2**m, 2**(m - K + 1))

@@ -25,6 +25,7 @@ from chameleon.conjugacy import partition_from_expanding_map
 from chameleon.errors import RefusalError
 from chameleon.interpolate import random_dyadic_homeomorphism
 from chameleon.maps import (
+    AffinePiece,
     PLCircleMap,
     _walk,
     map_from_dict,
@@ -58,7 +59,8 @@ def agree(m: PLCircleMap, o: FractionCircleMap) -> None:
     for x in probes(o):
         assert m.evaluate(x) == o.evaluate(x)
         assert m.lift_value(x) == o.lift_value(x)
-        assert m.lift_piece(x) == o.lift_piece(x)
+        s = m.right_slope(x)
+        assert o.lift_piece(x) == AffinePiece(s, m.lift_value(x) - s * x)
         assert m.left_slope(x) == o.left_slope(x)
         assert m.right_slope(x) == o.right_slope(x)
 
@@ -168,9 +170,9 @@ class TestConstruction:
                 agree(multiplication_map(n, r), FractionCircleMap(r, n, (0,), (n,), 0))
         for n in range(2, 6):
             agree(multiplication_map(n), FractionCircleMap(n - 1, n, (0,), (n,), 0))
-        data = [(F(3, 4), F(1, 2)), (F(1, 4), F(3, 2)), (F(13, 8), F(3, 2))]
-        agree(PLCircleMap.from_pairs(1, 1, data, F(1, 3)),
-              FractionCircleMap.from_pairs(1, 1, data, F(1, 3)))
+        # Pairs sorted by reduced boundary, the middle one redundant.
+        agree(*both(1, 1, (F(1, 4), F(5, 8), F(3, 4)), (F(3, 2), F(3, 2), F(1, 2)),
+                    F(1, 3)))
 
     def test_build_expanding_map(self, examples):
         partitions = [P for P, _, _ in examples.values()]
@@ -288,7 +290,9 @@ class TestOneStep:
             assert g._image(*pair(x)) == (laps, *pair(y))
             for k in (-2, 1, 3):
                 assert g.lift_value(x + k * r) == o.lift_value(x + k * r)
-                assert g.lift_piece(x + k * r) == o.lift_piece(x + k * r)
+                y = x + k * r
+                s = g.right_slope(y)
+                assert o.lift_piece(y) == AffinePiece(s, g.lift_value(y) - s * y)
 
     def test_orbits_match_the_fraction_walk(self, walked):
         """Every budget from none to past the orbit's length, and the

@@ -171,6 +171,14 @@ class TestConjugatorEval:
             "--point", "banana")
         assert code == 1
         assert "error:" in err
+        # The point is 'a' or 'a/b' in decimal digits, as the depth is.
+        for text in ("0.5", "1e3", "1_0/3", "+2"):
+            code, out, err = run_cli(
+                capsys, "partition", "conjugator-eval", partition_file("2"),
+                f"--point={text}")
+            assert code == 1
+            assert err == f"error: not a rational literal: {text!r}\n"
+            assert out == ""
 
     def test_off_grid_point_is_refused(self, capsys, partition_file):
         code, _, err = run_cli(
@@ -428,12 +436,14 @@ class TestRoundtrip:
         code, _, err = run_cli(capsys, "roundtrip", "--count", "-3")
         assert code == 1
         assert "error: --count must be at least 1" in err
-        # The count is read as decimal digits, as CHAMELEON_MAX_DEPTH is.
-        for text in ("1_0", "+2", "2.0"):
-            code, out, err = run_cli(capsys, "roundtrip", f"--count={text}")
-            assert code == 1
-            assert f"error: argument --count: invalid integer: {text!r}" in err
-            assert out == ""
+        # The count and the seed are read as decimal digits, as
+        # CHAMELEON_MAX_DEPTH is.
+        for flag in ("--count", "--seed"):
+            for text in ("1_0", "+2", "2.0"):
+                code, out, err = run_cli(capsys, "roundtrip", f"{flag}={text}")
+                assert code == 1
+                assert f"error: argument {flag}: invalid integer: {text!r}" in err
+                assert out == ""
 
 
 class TestArgumentErrors:

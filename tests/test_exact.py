@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from chameleon.errors import ParseError
 from chameleon.exact import (
-    CirclePoint,
     NAdic,
     as_fraction,
-    classify_point,
     digit_class,
     format_rational,
     is_nadic,
@@ -73,7 +71,10 @@ class TestParsing:
         assert value == expected
         assert parse_rational(format_rational(value)) == value
 
-    @pytest.mark.parametrize("text", ["", "1/0", "three", "1//2", "2/", None])
+    @pytest.mark.parametrize("text", [
+        "", "1/0", "three", "1//2", "2/", None, "0.5", "1e3", "1_0/3", "+2",
+        "- 3", "3/-4", "3 / 4", "-", "/2", "1/0_0",
+    ])
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ParseError):
             parse_rational(text)
@@ -200,7 +201,7 @@ class TestNAdicForm:
     @pytest.mark.parametrize("n", (1, 0, -2))
     @pytest.mark.parametrize("q", (Fraction(1, 3), Fraction(1, 2), Fraction(3), 0))
     def test_bases_below_two_are_rejected(self, n, q):
-        for test in (is_nadic, to_nadic, classify_point):
+        for test in (is_nadic, to_nadic, digit_class):
             with pytest.raises(ValueError, match="base must be at least 2"):
                 test(q, n)
 
@@ -265,42 +266,6 @@ class TestCircleReduction:
         assert (q - reduced) % r == 0
         assert reduce_to_circle(q + r, r) == reduced
         assert reduce_to_circle(q - 3 * r, r) == reduced
-
-    def test_circle_point_validates_window(self):
-        CirclePoint(Fraction(1, 2), 1)
-        with pytest.raises(ValueError):
-            CirclePoint(Fraction(3, 2), 1)
-        with pytest.raises(ValueError):
-            CirclePoint(Fraction(-1, 2), 1)
-
-
-class TestClassifyPoint:
-    def test_lattice_point_report(self):
-        report = classify_point(Fraction(3, 4), 2)
-        assert report.base == 2
-        assert report.is_nadic
-        assert not report.is_integer
-        assert report.nadic == NAdic(base=2, mantissa=3, exponent=2)
-        assert report.digit_class == 0
-        assert report.in_zero_class
-
-    def test_nonzero_class_base_three(self):
-        report = classify_point(Fraction(1, 3), 3)
-        assert report.is_nadic
-        assert report.digit_class == 1
-        assert not report.in_zero_class
-
-    def test_off_lattice_report(self):
-        report = classify_point(Fraction(1, 3), 2)
-        assert not report.is_nadic
-        assert report.nadic is None
-        assert report.digit_class is None
-        assert not report.in_zero_class
-
-    def test_integer_report(self):
-        report = classify_point(Fraction(6), 3)
-        assert report.is_integer and report.is_nadic
-        assert report.digit_class == digit_class(Fraction(6), 3)
 
 
 class TestKeepLastDigits:

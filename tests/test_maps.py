@@ -196,7 +196,7 @@ class TestStoredLift:
         raw_values = reference_window_values(bs, ss, reduce_to_circle(value_at_first, r))
         for x in self.sample_points(r, bs, m):
             piece = reference_lift_piece(r, d, cbs, css, cv0, x)
-            assert m.lift_piece(x) == piece
+            assert m.right_slope(x) == piece.slope
             assert m.lift_value(x) == piece(x)
             circle_x = reduce_to_circle(x, r)
             raw_image = reference_eval_raw(bs, ss, raw_values, circle_x, r, d)
@@ -345,9 +345,7 @@ class TestConstructors:
 class TestCanonicalForm:
     def test_redundant_boundary_is_normalised_away(self):
         plain = multiplication_map(2)
-        padded = PLCircleMap.from_pairs(
-            1, 2, [(F(0), F(2)), (F(1, 2), F(2))], F(0)
-        )
+        padded = PLCircleMap(1, 2, (F(0), F(1, 2)), (F(2), F(2)), F(0))
         assert padded == plain
         assert padded.piece_count == 1
 

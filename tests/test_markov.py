@@ -29,7 +29,6 @@ from chameleon.markov import (
     build_expanding_map,
     fixed_point_class,
     interval_length_at,
-    natural_level,
     natural_slope,
     reduce_ref,
     stable_level,
@@ -463,7 +462,7 @@ class TestVertexAlgebra:
         assert reduce_ref(VertexRef(12, 5), 2) == VertexRef(3, 3)
         assert reduce_ref(VertexRef(8, 2), 2) == VertexRef(2, 0)
         assert reduce_ref(VertexRef(5, 3), 2) == VertexRef(5, 3)
-        assert natural_level(VertexRef(12, 5), 2) == 3
+        assert reduce_ref(VertexRef(12, 5), 2).level == 3
 
     def test_reduce_ref_is_idempotent(self):
         rng = random.Random(3)
