@@ -7,7 +7,9 @@ constant on grid classes from the stable refinement level onward, and for
 base 2 its constancy across the newest vertices decides whether the
 partition's conjugator is piecewise linear.  The sums only decide: a PL
 conjugator breaks only over cut points, so it is the pairing interpolant
-that ``conjugacy`` builds, sending grid point i/p to cut i.
+that ``conjugacy`` builds, sending grid point i/p to cut i.  That it
+intertwines doubling with the map is checked on the integer weights
+(``conjugacy._pairing_conjugator``), not by composing maps.
 
 ``break_sum_table`` builds the table in one pass over the cut indices of a
 power-form partition (``_cut_walker``), and ``pl_criterion`` and
@@ -22,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import add
 from typing import Optional
 
-from .conjugacy import _pairing_conjugator
+from .conjugacy import _pairing_conjugator, _weight_changes
 from .errors import DivergentCycle, DivergentFixedPoint
 from .exact import _check_depth, as_fraction, is_nadic, ratio_exponent
 from .maps import (
@@ -47,35 +50,49 @@ from .markov import (
 )
 
 
-def _cut_walker(P: AffineMarkovPartition):
-    """The stable level of P, and break sums at cut points of P named by
-    index; ``break_sum_table`` is its one caller.
+def _cut_walker(P: AffineMarkovPartition, K: Optional[int] = None):
+    """The stable level K of P, and break sums at cut points of P named by
+    index; ``break_sum_table`` and ``pl_criterion`` call it.
 
-    Building the map g of P refuses first, then ``stable_level``: the walker
-    is for power form only, p = (n-1)*n^m.  g sends cut c to cut n*c mod p,
-    and its break at cut c is the build's break value there (0 off the break
-    cuts).  That step raises the n-adic valuation of c by one until it
-    reaches m, and the multiples of n^m are its fixed points, so the orbit
-    of c ends within m steps at cut n^m*(c mod (n-1)).  One pass from
-    valuation m - 1 down therefore sums every cut, and a request refuses at
-    its first cut whose fixed point carries a break.
+    Building the map g of P refuses first, then ``stable_level``; a caller
+    that has done both passes K.  The walker is for power form only,
+    p = (n-1)*n^m.  g sends cut c to cut n*c mod p, and its break at cut c
+    is the build's break value there (0 off the break cuts).  That step
+    raises the n-adic valuation of c by one until it reaches m, and the
+    multiples of n^m are its fixed points, so the orbit of c ends within m
+    steps at cut n^m*(c mod (n-1)).  One pass from valuation m - 1 down,
+    one slice per digit, therefore sums every cut.  Each of the n - 1 fixed
+    points is checked once, and a request refuses at its first cut whose
+    fixed point carries a break.
     """
+    if K is None:
+        build_expanding_map(P)
+        K = stable_level(P)
     _, report = build_expanding_map(P)
-    K = stable_level(P)
     n, p, m = P.base, P.interval_count, P.power_exponent
     weights = [0] * p
-    for c, (_, value) in zip(P.break_indices(), report.break_values):
+    for c, value in report.breaks:
         weights[c] = value
+    # The cuts c = n^v*(t + n*k) of valuation v, for each digit t, in one
+    # slice each.  Their images n*c mod p are n^(v+1)*((t + n*k) mod L),
+    # with L = p/n^(v+1), so below valuation m - 1 they are the slice
+    # n^(v+1)*(t + n*j), j < L/n, repeated n times; at valuation m - 1 they
+    # are fixed points, whose sum is 0.
     sums = [0] * p
     for v in range(m - 1, -1, -1):
         step = n**v
-        for first in range(step, n * step, step):  # the cuts of valuation v
-            for c in range(first, p, n * step):
-                sums[c] = weights[c] + sums[n * c % p]
+        for t in range(1, n):
+            here = slice(step * t, p, n * step)
+            if v == m - 1:
+                sums[here] = weights[here]
+            else:
+                images = sums[n * step * t::n * n * step] * n
+                sums[here] = list(map(add, weights[here], images))
     top = n**m
+    divergent = any(weights[top * a] for a in range(n - 1))
 
     def walk(cuts) -> list[int]:
-        for c in cuts:
+        for c in cuts if divergent else ():
             end = top * (c % (n - 1))
             if weights[end]:
                 raise DivergentFixedPoint(
@@ -159,7 +176,7 @@ class BreakSumTable:
 
     @property
     def is_constant(self) -> bool:
-        return len(set(self.sequence())) <= 1
+        return len({v for _, v in self.entries}) <= 1
 
 
 def break_sum_table(P: AffineMarkovPartition) -> BreakSumTable:
@@ -170,15 +187,21 @@ def break_sum_table(P: AffineMarkovPartition) -> BreakSumTable:
     finite sums at every one of those vertices; divergence refusals
     propagate.
     """
-    K, walk = _cut_walker(P)
+    return _table(P, *_cut_walker(P))
+
+
+def _table(P: AffineMarkovPartition, K: int, walk) -> BreakSumTable:
+    """The table of stable level K from the cut walker of P."""
     # K is at most the power exponent, so vertex (i, K) is cut i * n^(m-K).
-    n, stride = P.base, P.base**(P.power_exponent - K)
+    n, p = P.base, P.interval_count
     if K == 0:
         return BreakSumTable(base=n, stable_level=K, entries=())
-    indices = [i for i in range((n - 1) * n**K) if i % n]
-    sums = walk([i * stride for i in indices])
+    # The indices not divisible by n, and their cuts.
+    q = (n - 1) * n**K
+    indices, cuts = list(range(q)), list(range(0, p, p // q))
+    del indices[::n], cuts[::n]
     # Built from a list: see the note on hot tuples in ``maps``.
-    return BreakSumTable(base=n, stable_level=K, entries=tuple(list(zip(indices, sums))))
+    return BreakSumTable(base=n, stable_level=K, entries=tuple(list(zip(indices, walk(cuts)))))
 
 
 def coboundary_check(g: PLCircleMap, xs) -> bool:
@@ -311,17 +334,20 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     conjugator is the pairing interpolant ``conjugacy._pairing_conjugator``
     builds, verified to intertwine doubling with g: the sums prescribe
     breaks only over shallow vertices, which are cut points, so a PL
-    conjugator is affine on every source interval of the p-grid.  Its
-    initial slope is p*w[0]/W and its break at cut i is log2(w[i]/w[i-1]).
-    ``g`` must be the map ``build_expanding_map(P)`` returns; any other map is
-    refused with ValueError.
+    conjugator is affine on every source interval of the p-grid.  Since g
+    is the partition's own map, the intertwining is a test of equal weights
+    in pairs, with no map composed.  Its initial slope is p*w[0]/W and its
+    break at cut i is log2(w[i]/w[i-1]).  The stable level is taken once,
+    for the table and the verdict.  ``g`` must be the map
+    ``build_expanding_map(P)`` returns; any other map is refused with
+    ValueError.
     """
     if P.base != 2:
         raise ValueError("the piecewise-linearity decision is specific to base 2")
     K = stable_level(P)
     if build_expanding_map(P)[0] != g:
         raise ValueError("g must be the map build_expanding_map(P) returns")
-    table = break_sum_table(P)
+    table = _table(P, *_cut_walker(P, K))
     if not table.is_constant:
         seq = table.entries
         first_idx, first_val = seq[0]
@@ -335,10 +361,9 @@ def pl_criterion(g: PLCircleMap, P: AffineMarkovPartition) -> CriterionVerdict:
     # A constant table puts the conjugator in the pairing interpolant; its
     # breaks sit at the cuts where the weight changes.
     n, p, W, w = P.base, P.interval_count, P.total_weight, P.lengths
-    h = _pairing_conjugator(P, g)
+    h = _pairing_conjugator(P)
     assignment = BreakAssignment(entries=tuple([
-        (P.cut(i), ratio_exponent(w[i], w[i - 1], n))
-        for i in range(p) if w[i] != w[i - 1]]))
+        (P.cut(i), ratio_exponent(w[i], w[i - 1], n)) for i in _weight_changes(P)]))
     return CriterionVerdict(
         is_pl=True, stable_level=K, table=table, witness=None,
         witness_values=None, conjugator=h, initial_slope=Fraction(p * w[0], W),

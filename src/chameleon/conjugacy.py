@@ -17,7 +17,9 @@ import bisect
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
+from operator import ne, sub
 from typing import Optional
 
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
     ReconstructionMismatch,
 )
 from .exact import _check_depth, as_fraction, is_nadic, is_smooth, parse_integer, to_nadic
-from .maps import MAX_ORBIT_STEPS, PLCircleMap, _walk, multiplication_map, reduce_to_circle
+from .maps import MAX_ORBIT_STEPS, PLCircleMap, _walk, reduce_to_circle
 from .markov import (
     AffineMarkovPartition,
     LevelChain,
@@ -257,56 +259,102 @@ def _law_witness(level: PartitionLevelTable, g: PLCircleMap) -> Optional[tuple]:
     return None
 
 
-def equal_pairs(P: AffineMarkovPartition) -> bool:
-    """Whether consecutive intervals pair up with equal weights (base 2).
+def _uneven_block(P: AffineMarkovPartition) -> Optional[int]:
+    """The first cut s = n*i mod p whose block, intervals s ... s+n-1
+    (mod p), holds unequal weights; None when every block is even.
 
-    This is exactly the condition for the conjugator to be piecewise linear
-    with finitely many pieces.
+    The pairing interpolant h is affine from source interval i onto cut
+    interval i, and the branch of g = ``build_expanding_map(P)`` over cut
+    interval i is affine onto that block.  So g*h is affine on source
+    interval i, while h*nu_n is affine there exactly when the block's
+    weights agree, and the two agree at the interval's ends.  Hence h
+    intertwines nu_n with g exactly when every block is even.  When n
+    divides p the blocks start at the multiples of n, so comparing slices
+    passes every even partition.
     """
+    n, p, w = P.base, P.interval_count, P.lengths
+    if p % n == 0 and all(w[t::n] == w[0::n] for t in range(1, n)):
+        return None
+    for i in range(p):
+        s = n * i % p
+        if any(w[(s + t) % p] != w[s] for t in range(1, n)):
+            return s
+    return None
+
+
+def _unequal_pair(P: AffineMarkovPartition) -> Optional[int]:
+    """Base 2: the first even cut 2*i with w[2*i] != w[2*i+1], or None."""
     if P.base != 2:
         raise ValueError("the pairing test is specific to base 2")
     p = P.interval_count
     if p == 1:
-        return True  # one interval is the whole circle; the conjugator is trivial
+        return None  # one interval is the whole circle; the conjugator is trivial
     if p % 2 != 0:
         raise OddCount(f"{p} intervals cannot pair up")
-    return all(P.lengths[2 * i] == P.lengths[2 * i + 1] for i in range(p // 2))
+    return _uneven_block(P)
 
 
-def _pairing_conjugator(P: AffineMarkovPartition, g: PLCircleMap) -> PLCircleMap:
-    """The pairing interpolant: the circle map sending source grid point
-    i*r/p to cut i, affine in between, so with slope p*w[i]/W on source
-    interval i and a boundary only where the weight changes.  It is the
-    conjugator exactly when it intertwines multiplication by n with g;
-    refuses with ReconstructionMismatch otherwise."""
-    n, p, r, W, w = P.base, P.interval_count, P.circumference, P.total_weight, P.lengths
-    keep = [i for i in range(p) if w[i] != w[i - 1]] or [0]
-    h = PLCircleMap(r, 1, [Fraction(r * i, p) for i in keep],
-                    [Fraction(p * w[i], W) for i in keep], P.cut(keep[0]))
-    if h.compose(multiplication_map(n, r)) != g.compose(h):
+def equal_pairs(P: AffineMarkovPartition) -> bool:
+    """Whether consecutive intervals pair up with equal weights (base 2).
+
+    This is exactly the condition for the conjugator to be piecewise linear
+    with finitely many pieces: it is the base-2 case of the block test by
+    which the pairing interpolant intertwines doubling with the map.
+    """
+    return _unequal_pair(P) is None
+
+
+def _weight_changes(P: AffineMarkovPartition) -> list[int]:
+    """The cuts i with w[i] != w[i-1], in order."""
+    w = P.lengths
+    return list(compress(range(P.interval_count), map(ne, w, w[-1:] + w[:-1])))
+
+
+def _pairing_interpolant(P: AffineMarkovPartition) -> PLCircleMap:
+    """The circle map sending source grid point i*r/p to cut i, affine in
+    between, so with slope p*w[i]/W on source interval i and a boundary
+    only where the weight changes.  Over the denominator p*W, grid point i
+    is r*i*W and cut i is r*p*cum[i], so the map is built from integers."""
+    p, r, W, w, cum = (P.interval_count, P.circumference, P.total_weight, P.lengths,
+                       P.prefix_sums)
+    keep = _weight_changes(P) or [0]
+    slopes = []
+    for i in keep:
+        common = gcd(p * w[i], W)
+        slopes.append((p * w[i] // common, W // common))
+    return PLCircleMap._from_lift(r, 1, p * W, [r * i * W for i in keep], slopes,
+                                  [r * p * cum[i] for i in keep])
+
+
+def _pairing_conjugator(P: AffineMarkovPartition) -> PLCircleMap:
+    """The pairing interpolant, which is the conjugator exactly when it
+    intertwines multiplication by n with the map of P; refuses with
+    ReconstructionMismatch otherwise.  The intertwining is decided on the
+    integer weights (``_uneven_block``), with no map composed."""
+    if _uneven_block(P) is not None:
         raise ReconstructionMismatch(
             "pairing map fails to intertwine the expanding map with the model"
         )
-    return h
+    return _pairing_interpolant(P)
 
 
 def extract_pl_h(conj: Conjugator) -> PLCircleMap:
     """The conjugator as an explicit piecewise-linear circle map.
 
     Only exists when the partition pairs up; then the pairing interpolant,
-    vertex i at height i/p, is the whole conjugator (``_pairing_conjugator``
-    verifies the intertwining identity before returning it).
+    vertex i at height i/p, is the whole conjugator.  Pairing up is the
+    base-2 block test of ``_uneven_block``, so the one weight check that
+    finds an unequal pair also verifies the intertwining.
     """
     P = conj.partition
-    if not equal_pairs(P):
-        bad = next(i for i in range(P.interval_count // 2)
-                   if P.lengths[2 * i] != P.lengths[2 * i + 1])
+    bad = _unequal_pair(P)
+    if bad is not None:
+        left, right = P.lengths[bad], P.lengths[bad + 1]
         raise NotPL(
-            f"intervals {2 * bad} and {2 * bad + 1} have different weights "
-            f"{P.lengths[2 * bad]} and {P.lengths[2 * bad + 1]}",
-            witness=(2 * bad, (P.lengths[2 * bad], P.lengths[2 * bad + 1])),
+            f"intervals {bad} and {bad + 1} have different weights {left} and {right}",
+            witness=(bad, (left, right)),
         )
-    return _pairing_conjugator(P, conj.map)
+    return _pairing_interpolant(P)
 
 
 def periodic_points(m: PLCircleMap, power: int) -> tuple[Fraction, ...]:
@@ -428,6 +476,8 @@ def partition_from_expanding_map(g: PLCircleMap,
         breakpoints.append((b // c, D // c))
     landing = {(0, 1): 1}  # point -> length of its orbit, which ends at 0
     for b in breakpoints:
+        if b in landing:  # on an earlier breakpoint's orbit
+            continue
         walk, end = _walk(g, b, MAX_ORBIT_STEPS, landing)
         if end not in landing:
             raise NotAVertex(
@@ -436,11 +486,11 @@ def partition_from_expanding_map(g: PLCircleMap,
                 point=Fraction(*b),
             )
         length = len(walk) + landing[end]
-        landing.update((q, length - i) for i, q in enumerate(walk))
+        landing.update(zip(walk, range(length, length - len(walk), -1)))
     # b lies in g^-k(0) exactly when g^k(b) = 0, and the pullbacks are
     # nested because 0 is fixed.  A break-free map of degree n >= 3 needs
     # one pullback to leave the n - 1 intervals a partition needs.
-    rounds = max((landing[b] - 1 for b in breakpoints), default=0)
+    rounds = max(map(landing.__getitem__, breakpoints), default=1) - 1
     if rounds > max_refinements:
         raise BudgetExceeded(
             f"breakpoints not covered after {max_refinements} pullbacks",
@@ -453,7 +503,7 @@ def partition_from_expanding_map(g: PLCircleMap,
     for _ in range(rounds):
         level = _pullback(level, scale, D, r, n, branches)
         scale *= branches[0]
-    weights = [b - a for a, b in zip(level, level[1:])]
+    weights = list(map(sub, level[1:], level))
     weights.append(r * D * scale - level[-1])
     unit = gcd(*weights)
     P = AffineMarkovPartition(n, [w // unit for w in weights])

@@ -38,25 +38,32 @@ def _check_depth(value, name: str, least: int = 0) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _is_digits(text: str) -> bool:
+    """Whether text is a nonempty run of the ASCII digits 0-9 (``isdecimal``
+    and ``int`` also take the other Unicode decimal digits, such as '٣')."""
+    return text.isascii() and text.isdecimal()
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' in decimal digits, with an optional leading minus,
-    surrounding whitespace and a nonzero b; reject anything else (``Fraction``
-    reads more: decimal points, exponents, underscores, a plus sign)."""
+    """Parse 'a' or 'a/b' in the ASCII digits 0-9, with an optional leading
+    minus, surrounding whitespace and a nonzero b; reject anything else
+    (``Fraction`` reads more: decimal points, exponents, underscores, a plus
+    sign, other Unicode digits)."""
     if isinstance(text, str):
         num, slash, den = text.strip().partition("/")
-        if num.removeprefix("-").isdecimal() and (
-            not slash or den.isdecimal() and int(den) != 0
+        if _is_digits(num.removeprefix("-")) and (
+            not slash or _is_digits(den) and int(den) != 0
         ):
             return Fraction(int(num), int(den) if slash else 1)
     raise ParseError(f"not a rational literal: {text!r}")
 
 
 def parse_integer(text: str) -> int | None:
-    """The integer ``text`` writes in decimal digits, with an optional minus
-    and surrounding whitespace; None otherwise (``int`` reads more: a plus
-    sign, underscores)."""
+    """The integer ``text`` writes in the ASCII digits 0-9, with an optional
+    minus and surrounding whitespace; None otherwise (``int`` reads more: a
+    plus sign, underscores, other Unicode digits)."""
     text = text.strip()
-    return int(text) if text.removeprefix("-").isdecimal() else None
+    return int(text) if _is_digits(text.removeprefix("-")) else None
 
 
 def format_rational(q) -> str:

@@ -635,7 +635,12 @@ def multiplication_map(n: int, circumference: int | None = None) -> PLCircleMap:
     if n < 2:
         raise ValueError("the multiplier must be at least 2")
     r = circumference if circumference is not None else n - 1
-    return PLCircleMap(r, n, (ZERO,), (Fraction(n),), ZERO)
+    # The constructor's checks, in its order; the data is then already normal.
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError("circumference must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError("degree must be a positive integer")
+    return PLCircleMap._from_lift(r, n, 1, [0], [(n, 1)], [0])
 
 
 # ---------------------------------------------------------------------------

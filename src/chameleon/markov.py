@@ -20,8 +20,9 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
+from operator import mul, ne, sub
 
 from .errors import (
     BudgetExceeded,
@@ -31,7 +32,7 @@ from .errors import (
     ParseError,
     SlopeNotPowerOfN,
 )
-from .exact import _check_depth, is_nadic, ratio_exponent, trailing_zeros
+from .exact import _check_depth, is_nadic, is_smooth, ratio_exponent, trailing_zeros
 from .maps import PLCircleMap
 
 
@@ -40,26 +41,30 @@ class AffineMarkovPartition:
 
     The partition is kept as integers: the weights, their prefix sums (cut i
     is ``r * prefix_sums[i] / W``, W the total weight) and the blocks.  The
-    ``Fraction`` tuples ``endpoints`` and ``slopes`` are formed on each read;
+    ``Fraction`` tuples ``endpoints`` and ``slopes`` and the ``unit`` are
+    formed on each read;
     its map and its lift's inverse branches are formed on first use and kept.
     """
 
-    __slots__ = ("base", "lengths", "interval_count", "total_weight", "unit",
-                 "circumference", "prefix_sums", "blocks", "power_exponent",
-                 "_break_indices", "_branches", "_built")
+    __slots__ = ("base", "lengths", "interval_count", "total_weight", "circumference",
+                 "prefix_sums", "blocks", "power_exponent", "_break_indices", "_branches",
+                 "_built")
 
     def __init__(self, base: int, lengths) -> None:
         if isinstance(base, bool) or not isinstance(base, int) or base < 2:
             raise ValueError("base must be an integer >= 2")
         lengths = tuple(lengths)
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in lengths):
-            raise ValueError("interval weights must be plain integers")
+        # One pass over the types and one over the values, both in C; only
+        # weights that fail one take the per-weight checks, in their order.
+        if set(map(type, lengths)) != {int} or min(lengths) <= 0:
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in lengths):
+                raise ValueError("interval weights must be plain integers")
+            if len(lengths) >= base - 1 and any(v <= 0 for v in lengths):
+                raise ValueError("interval weights must be positive integers")
         if len(lengths) < base - 1:
             raise ValueError(
                 f"need at least base-1={base - 1} intervals, got {len(lengths)}"
             )
-        if any(v <= 0 for v in lengths):
-            raise ValueError("interval weights must be positive integers")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "lengths", lengths)
         p = len(lengths)
@@ -67,7 +72,6 @@ class AffineMarkovPartition:
         total = cum[p]
         object.__setattr__(self, "interval_count", p)
         object.__setattr__(self, "total_weight", total)
-        object.__setattr__(self, "unit", Fraction(base - 1, total))
         object.__setattr__(self, "circumference", base - 1)
         object.__setattr__(self, "prefix_sums", cum)
         object.__setattr__(self, "_branches", None)
@@ -75,15 +79,20 @@ class AffineMarkovPartition:
         # Block i is the total weight of the base-many intervals that the
         # branch over interval i stretches across: the weight between the
         # lifted cuts n*i and n*(i+1), where lifted cut k sits at weight
-        # floor(k/p)*W + cum[k mod p].
-        lifted = [k // p * total + cum[k % p] for k in range(0, base * p + 1, base)]
-        blocks = tuple([b - a for a, b in zip(lifted, lifted[1:])])
+        # floor(k/p)*W + cum[k mod p].  When n divides p, block i starts at
+        # cut n*i mod p, a multiple of n, and the blocks repeat with period
+        # p/n as the sums of n consecutive weights.
+        if p % base == 0:
+            blocks = tuple(list(map(sub, cum[base::base], cum[:-1:base])) * base)
+        else:
+            lifted = [k // p * total + cum[k % p] for k in range(0, base * p + 1, base)]
+            blocks = tuple(list(map(sub, lifted[1:], lifted)))
         object.__setattr__(self, "blocks", blocks)
         # Slope i = block_i / w_i differs from slope i-1 exactly when the
         # cross products of the integers differ.
-        object.__setattr__(self, "_break_indices", tuple([
-            i for i in range(p)
-            if blocks[i] * lengths[i - 1] != blocks[i - 1] * lengths[i]]))
+        object.__setattr__(self, "_break_indices", tuple(list(compress(range(p), map(
+            ne, map(mul, blocks, lengths[-1:] + lengths[:-1]),
+            map(mul, blocks[-1:] + blocks[:-1], lengths))))))
         # power form: p = (base-1) * base**m
         m, q = 0, p
         if p % (base - 1) == 0:
@@ -92,6 +101,11 @@ class AffineMarkovPartition:
                 q //= base
                 m += 1
         object.__setattr__(self, "power_exponent", m if q == 1 else None)
+
+    @property
+    def unit(self) -> Fraction:
+        """The length of one unit of weight, r / W."""
+        return Fraction(self.circumference, self.total_weight)
 
     @property
     def endpoints(self) -> tuple[Fraction, ...]:
@@ -163,12 +177,40 @@ class AffineMarkovPartition:
         return f"AffineMarkovPartition(base={self.base}, lengths={list(self.lengths)})"
 
 
-@dataclass(frozen=True)
 class BuildReport:
     """What the expanding-map construction established beyond the partition:
-    the break value at each cut where the slope changes."""
+    the break value at each cut where the slope changes.
 
-    break_values: tuple[tuple[Fraction, int], ...]
+    The build keeps them on cut indices, as (index, value) pairs in
+    ``breaks``; ``break_values`` names each cut by its point, as
+    ``(Fraction, value)`` pairs formed on first read.
+    """
+
+    __slots__ = ("breaks", "_cuts", "_break_values")
+
+    def __init__(self, breaks: tuple[tuple[int, int], ...], r: int, W: int,
+                 prefix_sums: tuple[int, ...]) -> None:
+        self.breaks = breaks
+        self._cuts = r, W, prefix_sums
+        self._break_values = None
+
+    @property
+    def break_values(self) -> tuple[tuple[Fraction, int], ...]:
+        if self._break_values is None:
+            r, W, cum = self._cuts
+            self._break_values = tuple([(Fraction(r * cum[i], W), v) for i, v in self.breaks])
+        return self._break_values
+
+    def __eq__(self, other):
+        if not isinstance(other, BuildReport):
+            return NotImplemented
+        return self.break_values == other.break_values
+
+    def __hash__(self):
+        return hash(self.break_values)
+
+    def __repr__(self):
+        return f"BuildReport(break_values={self.break_values!r})"
 
 
 def build_expanding_map(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildReport]:
@@ -206,9 +248,9 @@ def _build(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildReport]:
                 index=i, slope=s,
             )
         exponents[i] = e
-    # Cut points are integer multiples of the unit, so they are all base-n
-    # fractions when it is one.
-    if not is_nadic(P.unit, n):
+    # Cut points are integer multiples of the unit r/W, so they are all
+    # base-n fractions when it is one.
+    if not is_smooth(P.total_weight // gcd(P.total_weight, r), n):
         for i in range(p):
             x = P.cut(i)
             if not is_nadic(x, n):
@@ -222,8 +264,8 @@ def _build(P: AffineMarkovPartition) -> tuple[PLCircleMap, BuildReport]:
     g = PLCircleMap._from_lift(r, n, P.total_weight, bnums, pairs, lnums)
     # The break at a cut is the change of exponent from the run before it.
     ex = [exponents[i] for i in break_indices]
-    return g, BuildReport(break_values=tuple([
-        (P.cut(i), e - f) for i, e, f in zip(break_indices, ex, ex[-1:] + ex[:-1])]))
+    breaks = tuple(list(zip(break_indices, map(sub, ex, ex[-1:] + ex[:-1]))))
+    return g, BuildReport(breaks, r, P.total_weight, P.prefix_sums)
 
 
 def _lift_triples(P: AffineMarkovPartition, cuts) -> list[tuple[int, int, tuple[int, int]]]:
@@ -475,7 +517,8 @@ def stable_level(P: AffineMarkovPartition) -> int:
     """The refinement level from which the vertex pattern of breaks repeats.
 
     Only defined for power-form partitions; it is the smallest K such that
-    every break index is divisible by n^(m-K).
+    every break index is divisible by n^(m-K), that is such that n^(m-K)
+    divides their gcd with n^m.
     """
     m = P.power_exponent
     if m is None:
@@ -483,13 +526,7 @@ def stable_level(P: AffineMarkovPartition) -> int:
             f"{P.interval_count} intervals is not (base-1)*base^m for base {P.base}"
         )
     n = P.base
-    best = 0
-    for i in P.break_indices():
-        if i == 0:
-            continue
-        z = min(trailing_zeros(i, n), m)
-        best = max(best, m - z)
-    return best
+    return m - trailing_zeros(gcd(n**m, *P.break_indices()), n)
 
 
 def natural_slope(P: AffineMarkovPartition, a: VertexRef, c: VertexRef) -> Fraction:

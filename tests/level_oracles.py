@@ -34,7 +34,10 @@ through a dict keyed by every cut point, walking the oracle map's
 interpolant of ``conjugacy._pairing_conjugator`` as the conjugator;
 ``break_sum_rebuild`` is the rebuild from the sums it replaced, which
 breaks over the shallow vertices, solves the initial slope and integrates
-the boundaries.
+the boundaries.  ``_pairing_conjugator`` decides the intertwining on the
+integer weights and builds the interpolant from them;
+``compose_pairing_conjugator`` is the compose identity it replaced, on the
+interpolant from the validating constructor.
 """
 
 from __future__ import annotations
@@ -689,3 +692,19 @@ def break_sum_rebuild(P: AffineMarkovPartition, g: PLCircleMap) -> CriterionVerd
         witness_values=None, conjugator=rebuilt, initial_slope=m,
         assignment=assignment,
     )
+
+
+def compose_pairing_conjugator(P: AffineMarkovPartition, g: PLCircleMap) -> PLCircleMap:
+    """The pairing interpolant of P, sending grid point i*r/p to cut i,
+    built by the validating constructor and returned when it intertwines
+    multiplication by n with g, as h*nu_n == g*h of two composes; refuses
+    with ReconstructionMismatch otherwise."""
+    n, p, r, W, w = P.base, P.interval_count, P.circumference, P.total_weight, P.lengths
+    keep = [i for i in range(p) if w[i] != w[i - 1]] or [0]
+    h = PLCircleMap(r, 1, [Fraction(r * i, p) for i in keep],
+                    [Fraction(p * w[i], W) for i in keep], P.cut(keep[0]))
+    if h.compose(multiplication_map(n, r)) != g.compose(h):
+        raise ReconstructionMismatch(
+            "pairing map fails to intertwine the expanding map with the model"
+        )
+    return h

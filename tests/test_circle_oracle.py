@@ -328,11 +328,19 @@ class TestOneStep:
                                        pair(expected.points[k]))
 
 
-def test_recovery_and_criterion_neither_evaluate_nor_validate(circle_map_calls):
+def test_recovery_and_criterion_neither_evaluate_nor_validate(circle_map_calls, monkeypatch):
     """Recovery plus the PL decision on roundtrip draws make no ``evaluate``
-    call and validate only the rebuilt conjugator and the doubling map."""
+    call, validate no map and compose none: the intertwining is decided on
+    the partition's weights and the conjugator built from its integers."""
+    compose = PLCircleMap.compose
+
+    def counting(self, inner):
+        circle_map_calls.append("compose")
+        return compose(self, inner)
+
+    monkeypatch.setattr(PLCircleMap, "compose", counting)
     for _, (g, _) in roundtrip_draws(7, 6):
         circle_map_calls.clear()
         verdict = pl_criterion(g, partition_from_expanding_map(g))
         assert verdict.is_pl
-        assert circle_map_calls == ["__init__", "__init__"]
+        assert circle_map_calls == []

@@ -172,7 +172,7 @@ class TestConjugatorEval:
         assert code == 1
         assert "error:" in err
         # The point is 'a' or 'a/b' in decimal digits, as the depth is.
-        for text in ("0.5", "1e3", "1_0/3", "+2"):
+        for text in ("0.5", "1e3", "1_0/3", "+2", "\u0663/\u0664", "1/\u0666"):
             code, out, err = run_cli(
                 capsys, "partition", "conjugator-eval", partition_file("2"),
                 f"--point={text}")
@@ -197,7 +197,7 @@ class TestConjugatorEval:
 
     def test_malformed_environment_depth_is_an_input_error(self, capsys, partition_file,
                                                            monkeypatch):
-        for raw in ("not a number", "1_0", "+2", "-1", "2 3", ""):
+        for raw in ("not a number", "1_0", "+2", "-1", "2 3", "", "\u0663"):
             monkeypatch.setenv("CHAMELEON_MAX_DEPTH", raw)
             code, out, err = run_cli(
                 capsys, "partition", "conjugator-eval", partition_file("2"),
@@ -224,7 +224,7 @@ class TestConjugatorEval:
         assert "error: argument --depth: depth must be non-negative" in err
         assert out == ""
         # The depth is read as decimal digits, as CHAMELEON_MAX_DEPTH is.
-        for text in ("1_0", "+2", "2 3", "2.0"):
+        for text in ("1_0", "+2", "2 3", "2.0", "\u0663"):
             code, out, err = run_cli(
                 capsys, "partition", "conjugator-eval", partition_file("2"),
                 "--point", "1/6", f"--depth={text}")
@@ -316,7 +316,7 @@ class TestDyadicStatus:
             "--depth", "-2")
         assert code == 1
         assert "error: argument --depth: depth must be non-negative" in err
-        for text in ("1_0", "+2"):
+        for text in ("1_0", "+2", "\u0663"):
             code, out, err = run_cli(
                 capsys, "partition", "dyadic-status", partition_file("2"),
                 "--depth", text)
@@ -439,7 +439,7 @@ class TestRoundtrip:
         # The count and the seed are read as decimal digits, as
         # CHAMELEON_MAX_DEPTH is.
         for flag in ("--count", "--seed"):
-            for text in ("1_0", "+2", "2.0"):
+            for text in ("1_0", "+2", "2.0", "\u0663"):
                 code, out, err = run_cli(capsys, "roundtrip", f"{flag}={text}")
                 assert code == 1
                 assert f"error: argument {flag}: invalid integer: {text!r}" in err

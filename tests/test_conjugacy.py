@@ -10,14 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_partition, rescaled_level_partition, subdivision_conjugate
+from conftest import (
+    circle_map_data,
+    corpus_partition,
+    rescaled_level_partition,
+    subdivision_conjugate,
+)
 import level_oracles
-from level_oracles import fraction_recovery, law_witness, lift_inverse
+from level_oracles import (
+    compose_pairing_conjugator,
+    fraction_recovery,
+    law_witness,
+    lift_inverse,
+)
 
 from chameleon import conjugacy, markov
 from chameleon.breaks import find_break_sum_discrepancy, orbit_merge_violations
 from chameleon.conjugacy import (
     Conjugator,
+    _pairing_conjugator,
     EqualityCounterexample,
     ImageStatusReport,
     equal_pairs,
@@ -35,10 +46,11 @@ from chameleon.errors import (
     NotPL,
     OddCount,
     ParseError,
+    ReconstructionMismatch,
     RefusalError,
     SlopeNotPowerOfN,
 )
-from chameleon.exact import is_nadic
+from chameleon.exact import is_nadic, ratio_exponent
 from chameleon.golden import example_ids, load_example
 from chameleon.interpolate import random_dyadic_homeomorphism
 from chameleon.markov import (
@@ -648,6 +660,101 @@ class TestEqualPairsAndExtraction:
         for j in range(0, 256, 3):
             q = F(j, 256)
             assert h.evaluate(q) == conj.evaluate(q)
+
+
+def weight_census(n: int, p: int, top: int):
+    """The weight vectors of p intervals in 1..top with gcd 1 whose branch
+    slopes are all powers of n, by depth-first search: interval i is checked
+    as soon as it and the intervals n*i + t mod p (t < n) it stretches
+    across are set.  Building the map may still refuse a vector whose cut
+    points are not base-n fractions."""
+    ready = [[] for _ in range(p)]
+    for i in range(p):
+        ready[max([i] + [(n * i + t) % p for t in range(n)])].append(i)
+    w = [0] * p
+
+    def search(k):
+        if k == p:
+            if gcd(*w) == 1:
+                yield AffineMarkovPartition(n, w)
+            return
+        for v in range(1, top + 1):
+            w[k] = v
+            if all(ratio_exponent(sum(w[(n * i + t) % p] for t in range(n)), w[i], n)
+                   is not None for i in ready[k]):
+                yield from search(k + 1)
+
+    return search(0)
+
+
+def pairing_outcome(compute):
+    """Everything the returned map stores, or the refusal's type and text."""
+    try:
+        return circle_map_data(compute())
+    except ReconstructionMismatch as err:
+        return type(err), str(err)
+
+
+# (base, intervals, largest weight); p = n - 1 is the first size of each
+# base, and base 2 with 7 intervals reaches the test for n not dividing p.
+WEIGHT_CENSUS = (
+    (2, 1, 16), (2, 2, 16), (2, 4, 16), (2, 6, 16), (2, 7, 16), (2, 8, 16),
+    (3, 2, 9), (3, 3, 9), (3, 6, 9), (3, 9, 4),
+    (4, 3, 8), (4, 4, 8), (4, 6, 4), (4, 12, 3),
+    (5, 4, 8), (5, 5, 8),
+)
+
+
+class TestIntertwiningByWeights:
+    """``_pairing_conjugator`` decides the intertwining on the weights and
+    builds the interpolant from integers; the compose identity
+    ``level_oracles.compose_pairing_conjugator`` is the oracle, which must
+    return the same map or refuse alike."""
+
+    @staticmethod
+    def compare(partition) -> bool:
+        """Both outcomes agree; whether the interpolant intertwines."""
+        g, _ = build_expanding_map(partition)
+        got = pairing_outcome(lambda: _pairing_conjugator(partition))
+        assert got == pairing_outcome(lambda: compose_pairing_conjugator(partition, g))
+        return not isinstance(got[0], type)
+
+    @pytest.mark.parametrize("n,p,top", WEIGHT_CENSUS)
+    def test_every_partition_that_builds(self, n, p, top):
+        verdicts = []
+        for partition in weight_census(n, p, top):
+            try:
+                build_expanding_map(partition)
+            except RefusalError:
+                continue
+            intertwines = self.compare(partition)
+            verdicts.append(intertwines)
+            if n == 2 and p % 2 == 0:
+                assert equal_pairs(partition) == intertwines
+        assert verdicts
+        if (n, p) == (2, 8):
+            assert verdicts.count(False) >= 4
+
+    def test_examples(self, examples):
+        verdicts = {example_id: self.compare(partition)
+                    for example_id, (partition, _, _) in examples.items()}
+        assert verdicts == {"1": False, "2": True, "3": False, "4": False, "5": False}
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_subdivision_conjugates(self, n):
+        for seed in range(6):
+            h, _, partition = subdivision_conjugate(seed, n)
+            assert self.compare(partition)
+            assert _pairing_conjugator(partition) == h
+
+    def test_roundtrip_draws(self):
+        rng = random.Random(0)
+        model = multiplication_map(2)
+        for _ in range(24):
+            h = random_dyadic_homeomorphism(rng, max_breaks=8, grid_exponent=5)
+            partition = partition_from_expanding_map(h.compose(model).compose(h.invert()))
+            assert self.compare(partition)
+            assert _pairing_conjugator(partition) == h
 
 
 class TestPeriodicPoints:

@@ -17,6 +17,7 @@ from chameleon.exact import (
     is_nadic,
     is_smooth,
     keep_last_digits,
+    parse_integer,
     parse_rational,
     power_exponent,
     ratio_exponent,
@@ -74,10 +75,27 @@ class TestParsing:
     @pytest.mark.parametrize("text", [
         "", "1/0", "three", "1//2", "2/", None, "0.5", "1e3", "1_0/3", "+2",
         "- 3", "3/-4", "3 / 4", "-", "/2", "1/0_0",
+        "\u0663", "\u0663/\u0664", "3/\u0664", "-\u0663/4", "\uff13", "\u09ea/5",
     ])
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ParseError):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("0", 0), ("42", 42), ("-7", -7), (" 12 ", 12), ("007", 7),
+    ])
+    def test_integer_reader_takes_ascii_digits(self, text, expected):
+        assert parse_integer(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "", "-", "+2", "1_0", "2.0", "2 3", "\u0663", "-\u0663", "1\u0663", "\uff13",
+        "\u09ea",
+    ])
+    def test_integer_reader_rejects_other_text(self, text):
+        """'\u0663' (ARABIC-INDIC DIGIT THREE) and the other Unicode decimal
+        digits pass ``str.isdecimal`` and ``int``, but are not a decimal
+        integer literal."""
+        assert parse_integer(text) is None
 
     def test_format_uses_solidus_only_when_needed(self):
         assert format_rational(Fraction(3, 4)) == "3/4"

@@ -300,6 +300,23 @@ class TestConstructors:
         with pytest.raises(ValueError):
             multiplication_map(1)
 
+    def test_multiplication_map_matches_validated_constructor(self):
+        """Built from its integers, the map stores what the validating
+        constructor stores, and refuses malformed input as it does."""
+        for n in range(2, 6):
+            for r in (None, 1, 2, 3, 4):
+                circumference = n - 1 if r is None else r
+                assert circle_map_data(multiplication_map(n, r)) == circle_map_data(
+                    PLCircleMap(circumference, n, (0,), (n,), 0))
+        for n, r in ((2, 0), (2, -1), (2, F(1)), (2, True), (F(2), None), (2.5, 1),
+                     (True, None)):
+            with pytest.raises(ValueError) as got:
+                multiplication_map(n, r)
+            if n >= 2:
+                with pytest.raises(ValueError) as want:
+                    PLCircleMap(n - 1 if r is None else r, n, (0,), (n,), 0)
+                assert str(got.value) == str(want.value)
+
     def test_identity_and_rotation(self):
         ident = PLCircleMap.identity(1)
         rot = PLCircleMap.rotation(1, F(1, 4))
